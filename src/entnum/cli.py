@@ -170,7 +170,7 @@ def cmd_mixed(args) -> tuple[Report, int]:
     report.add("optimized_value", result.value, opts.sep_threshold)
     report.add("converged", result.converged)
     report.add("objective_evaluations", result.evaluations)
-    cert = mixed.separability_certificate(rho, opts)
+    cert = result.certificate
     report.add("certificate", cert is not None, opts.sep_threshold)
     if cert is not None and args.out:
         Path(args.out).write_text(

@@ -13,6 +13,9 @@ isometry manifold: V = U0 expm(K)[:, :r] with K skew-Hermitian built from
 m^2 real parameters and U0 a per-restart random unitary recentering.  The
 value 0 is attained exactly on separable states, so driving the objective
 below a threshold certifies separability; failing to do so proves nothing.
+
+``MixedResult.certificate`` is the best decomposition when it passes the
+certificate test; ``separability_certificate`` runs a full search of its own.
 """
 
 from __future__ import annotations
@@ -123,6 +126,7 @@ class MixedResult:
     best: PureDecomposition
     converged: bool
     evaluations: int
+    certificate: Optional[PureDecomposition]  # ``best`` if it witnesses separability
 
 
 def spectral_pure_decomposition(rho: DensityState) -> PureDecomposition:
@@ -305,7 +309,21 @@ def entanglement_number_mixed(
     # report the decomposition's own score so value and witness always agree
     value = min(best_val, decomposition_entanglement(rho, best))
     return MixedResult(value=value, best=best, converged=converged or reached_floor,
-                       evaluations=evaluations)
+                       evaluations=evaluations,
+                       certificate=_certificate(rho, value, best, opts.sep_threshold))
+
+
+def _certificate(rho: DensityState, value: float, best: PureDecomposition,
+                 sep_threshold: float) -> Optional[PureDecomposition]:
+    """``best`` if value <= sep_threshold and each vector has e <= CERT_SCALE * sqrt(it)."""
+    if value > sep_threshold:
+        return None
+    da, db = rho.factor_dims
+    bound = CERT_SCALE * math.sqrt(sep_threshold)
+    for vec in best.vectors:
+        if pure_entanglement_number(BipartiteVectorState(vec.reshape(da, db))) > bound:
+            return None
+    return best
 
 
 def separability_certificate(
@@ -313,20 +331,12 @@ def separability_certificate(
 ) -> Optional[PureDecomposition]:
     """Decomposition witnessing separability, when the search finds one.
 
-    Returns the best decomposition if its value is at most ``sep_threshold``
-    and every vector in it has pure entanglement number at most
-    CERT_SCALE * sqrt(sep_threshold).  Returning None proves nothing: the
-    search may simply have missed a good decomposition.
+    Runs a full search and returns its ``certificate``: the best decomposition
+    if its value is at most ``sep_threshold`` and every vector in it has pure
+    entanglement number at most CERT_SCALE * sqrt(sep_threshold).  Returning
+    None proves nothing: the search may simply have missed a good decomposition.
     """
-    result = entanglement_number_mixed(rho, opts)
-    if result.value > opts.sep_threshold:
-        return None
-    da, db = _require_factor_dims(rho)
-    bound = CERT_SCALE * math.sqrt(opts.sep_threshold)
-    for vec in result.best.vectors:
-        if pure_entanglement_number(BipartiteVectorState(vec.reshape(da, db))) > bound:
-            return None
-    return result.best
+    return entanglement_number_mixed(rho, opts).certificate
 
 
 def separable_with_entangled_spectrum() -> tuple[DensityState, PureDecomposition]:

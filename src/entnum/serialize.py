@@ -9,6 +9,7 @@ InvariantViolation / DimensionMismatch from the constructors.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any
 
 import numpy as np
@@ -161,15 +162,10 @@ def decode_decomposition(obj: Any) -> PureDecomposition:
     )
 
 
-_OPT_FIELDS = {
-    "restarts": int,
-    "max_iters": int,
-    "stagnation_tol": float,
-    "patience": int,
-    "sep_threshold": float,
-    "seed": int,
-    "m": int,
-}
+# one converter per OptimizerOptions field, from its default; ``m`` (default
+# None) takes an int or null
+_OPT_FIELDS = {f.name: int if f.default is None else type(f.default)
+               for f in dataclasses.fields(OptimizerOptions)}
 
 
 def decode_optimizer_options(obj: Any) -> OptimizerOptions:
@@ -187,12 +183,4 @@ def decode_optimizer_options(obj: Any) -> OptimizerOptions:
 
 
 def encode_optimizer_options(opts: OptimizerOptions) -> dict:
-    return {
-        "restarts": opts.restarts,
-        "max_iters": opts.max_iters,
-        "stagnation_tol": opts.stagnation_tol,
-        "patience": opts.patience,
-        "sep_threshold": opts.sep_threshold,
-        "seed": opts.seed,
-        "m": opts.m,
-    }
+    return dataclasses.asdict(opts)

@@ -293,7 +293,7 @@ def _check_example9(seed: int, restarts: int = 80) -> list[VerifyRow]:
     result = mixed.entanglement_number_mixed(rho, opts)
     rows.append(_bound_row("example9", "optimized value <= 1e-3", 1e-3, result.value,
                            "property"))
-    cert = mixed.separability_certificate(rho, opts)
+    cert = result.certificate
     rows.append(_row("example9", "separability certificate found", 1.0,
                      float(cert is not None), 0, "property"))
     if cert is not None:
@@ -484,7 +484,7 @@ def _check_thm33(seed: int) -> list[VerifyRow]:
     )
     opts = mixed.OptimizerOptions(restarts=60, seed=seed)
     result = mixed.entanglement_number_mixed(rho, opts)
-    cert = mixed.separability_certificate(rho, opts)
+    cert = result.certificate
     rows = [
         _bound_row("thm33", "random separable state drives value <= 1e-3", 1e-3,
                    result.value, "property"),
@@ -499,8 +499,7 @@ def _check_thm33(seed: int) -> list[VerifyRow]:
     rows.append(_row("thm33", "maximally entangled pure state stays at 1/sqrt(2)",
                      SQRT_HALF, bell_result.value, 1e-6, "closed-form"))
     rows.append(_row("thm33", "no spurious certificate for the pure state", 1.0,
-                     float(mixed.separability_certificate(pure, bell_opts) is None), 0,
-                     "property"))
+                     float(bell_result.certificate is None), 0, "property"))
     return rows
 
 

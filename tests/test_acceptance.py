@@ -158,7 +158,7 @@ def test_criterion_8_separable_demo_state():
     start = time.perf_counter()
     opts = mx.OptimizerOptions(restarts=150, seed=0)
     result = mx.entanglement_number_mixed(rho, opts)
-    cert = mx.separability_certificate(rho, opts)
+    cert = result.certificate
     elapsed = time.perf_counter() - start
     cert_worst = (
         max(
@@ -217,7 +217,7 @@ def test_criterion_10_no_spurious_certificate():
     opts = mx.OptimizerOptions(restarts=200, seed=0)
     result = mx.entanglement_number_mixed(rho, opts)
     dev = abs(result.value - SQRT_HALF)
-    cert = mx.separability_certificate(rho, opts)
+    cert = result.certificate
     ok = dev <= 1e-6 and cert is None
     _report(10, f"maximally entangled control stays at 1/sqrt(2) "
                 f"(dev {dev:.2e}, certificate {'absent' if cert is None else 'EMITTED'})",

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from entnum import cli, verify
+from entnum import cli, mixed, verify
 
 
 def write(tmp_path, name, obj):
@@ -27,6 +27,19 @@ def cvec(values):
 
 def cmat(rows):
     return [cvec(row) for row in rows]
+
+
+def count_searches(monkeypatch):
+    """Count calls of ``entanglement_number_mixed`` from any caller, certificates included."""
+    calls = []
+    search = mixed.entanglement_number_mixed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mixed, "entanglement_number_mixed", counted)
+    return calls
 
 
 class TestClassical:
@@ -163,6 +176,19 @@ class TestMixed:
         assert set(cert) == {"weights", "vectors"}
         assert sum(cert["weights"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_one_search_per_command(self, tmp_path, capsys, monkeypatch):
+        rho, _ = mixed.separable_with_entangled_spectrum()
+        path = write(tmp_path, "rho.json", cmat(rho.mat))
+        out_path = tmp_path / "cert.json"
+        calls = count_searches(monkeypatch)
+        code, out, _ = run(
+            capsys,
+            ["mixed", path, "--dims", "2", "2", "--restarts", "40", "--out", str(out_path)],
+        )
+        assert code == 0
+        assert "certificate = yes" in out and out_path.exists()
+        assert len(calls) == 1
+
     def test_bell_projector_no_certificate(self, tmp_path, capsys):
         vec = np.zeros(4)
         vec[0] = vec[3] = 2**-0.5
@@ -204,6 +230,14 @@ class TestVerifyPaper:
         code, out, _ = run(capsys, ["verify-paper", "--seed", "42", "--only", "thm23"])
         assert code == 0
         assert out.count("thm23") >= 5  # one row per dimension
+
+    def test_one_search_per_mixed_result(self, capsys, monkeypatch):
+        # example9 searches once, thm33 once for its separable state and once for Bell
+        calls = count_searches(monkeypatch)
+        code, out, _ = run(capsys, ["verify-paper", "--only", "example9,thm33"])
+        assert code == 0
+        assert "certificate found" in out and "no spurious certificate" in out
+        assert len(calls) == 3
 
     def test_unknown_id_exits_3(self, capsys):
         code, _, _ = run(capsys, ["verify-paper", "--only", "nope"])

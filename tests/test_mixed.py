@@ -297,3 +297,38 @@ class TestSeparabilityCertificate:
         )
         cert = mx.separability_certificate(rho, mx.OptimizerOptions(restarts=60, seed=0))
         assert cert is not None
+
+
+class TestResultCertificate:
+    """``MixedResult.certificate`` is exactly what ``separability_certificate`` returns."""
+
+    @staticmethod
+    def certificates(rho, opts):
+        from_result = mx.entanglement_number_mixed(rho, opts).certificate
+        from_search = mx.separability_certificate(rho, opts)
+        if from_result is not None and from_search is not None:
+            np.testing.assert_array_equal(from_result.weights.weights,
+                                          from_search.weights.weights)
+            np.testing.assert_array_equal(from_result.vectors, from_search.vectors)
+        return from_result, from_search
+
+    def test_example9_state_certificate_present(self):
+        rho, _ = mx.separable_with_entangled_spectrum()
+        cert, again = self.certificates(rho, mx.OptimizerOptions(restarts=60, seed=0))
+        assert cert is not None and again is not None
+        assert cert.reconstruction_error(rho) <= 1e-9
+
+    def test_bell_state_certificate_absent(self):
+        cert, again = self.certificates(bell_projector(),
+                                        mx.OptimizerOptions(restarts=50, seed=0))
+        assert cert is None and again is None
+
+    def test_entangled_rank2_certificate_absent(self):
+        bell = np.zeros(4, dtype=complex)
+        bell[0] = bell[3] = SQRT_HALF
+        e01 = np.array([0, 1, 0, 0], dtype=complex)
+        rho = op.DensityState(0.7 * np.outer(bell, bell.conj()) + 0.3 * np.outer(e01, e01),
+                              factor_dims=(2, 2))
+        cert, again = self.certificates(rho, mx.OptimizerOptions(restarts=3, max_iters=400,
+                                                                 seed=0))
+        assert cert is None and again is None

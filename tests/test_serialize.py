@@ -1,5 +1,8 @@
 """JSON round trips and structural validation."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,22 @@ class TestDomainValues:
         back = sz.decode_optimizer_options(sz.encode_optimizer_options(opts))
         assert back.restarts == 7 and back.seed == 5 and back.m == 4
 
+    def test_optimizer_options_round_trip_every_field(self):
+        opts = mx.OptimizerOptions(restarts=7, max_iters=11, stagnation_tol=1e-5, patience=3,
+                                   sep_threshold=1e-4, seed=5, m=4, polish_rounds=1,
+                                   stop_at=1e-6)
+        fields = dataclasses.fields(mx.OptimizerOptions)
+        assert all(getattr(opts, f.name) != f.default for f in fields)
+        encoded = json.loads(json.dumps(sz.encode_optimizer_options(opts)))
+        assert set(encoded) == {f.name for f in fields}
+        assert sz.decode_optimizer_options(encoded) == opts
+        default = mx.OptimizerOptions()
+        assert sz.decode_optimizer_options(sz.encode_optimizer_options(default)) == default
+        assert sz.decode_optimizer_options({"stop_at": 1e-6}).stop_at == 1e-6
+
     def test_rejects_unknown_option(self):
         with pytest.raises(ParseError):
             sz.decode_optimizer_options({"bogus": 1})
+        with pytest.raises(ParseError):
+            sz.decode_optimizer_options({**sz.encode_optimizer_options(mx.OptimizerOptions()),
+                                         "bogus": 1})
