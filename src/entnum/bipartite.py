@@ -17,6 +17,7 @@ entanglement number of the measure all coincide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,19 +151,41 @@ def schmidt_decompose(psi: BipartiteVectorState) -> Entanglement:
     return Entanglement(lam, context_from_rows(u.T), context_from_rows(vh))
 
 
+@functools.lru_cache(maxsize=None)
+def _minor_positions(da: int, db: int) -> np.ndarray:
+    """Flat row-major positions [[ac, bd], [ad, bc]] of every 2x2 minor, a < b, c < d."""
+    a, b = (i[:, None] for i in np.triu_indices(da, k=1))
+    c, d = np.triu_indices(db, k=1)
+    pos = np.stack([r * db + q for r, q in ((a, c), (b, d), (a, d), (b, c))]).reshape(2, 2, -1)
+    pos.setflags(write=False)
+    return pos
+
+
+def _cross_terms(rows: np.ndarray, minors: np.ndarray) -> np.ndarray:
+    """2 sum_{j<k} lam_j lam_k (lam the squared singular values) of each flat coefficient row.
+
+    By Cauchy-Binet, 2 sum |X_ac X_bd - X_ad X_bc|^2 over the 2x2 minors of X: a
+    sum of squares, so no SVD, no cancellation near product vectors, 0 on a zero row.
+    """
+    t = rows.take(minors, axis=-1)
+    pairs = t[..., 0, :] * t[..., 1, :]
+    det = pairs[..., 0, :] - pairs[..., 1, :]
+    return 2.0 * np.einsum("...i,...i->...", det, det.conj()).real
+
+
+def _pure_numbers(rows: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Pure entanglement number sqrt(cross terms) / ||X||^2 of each flat coefficient row."""
+    norms = np.sum(rows.real**2 + rows.imag**2, axis=-1)
+    return np.sqrt(_cross_terms(rows, _minor_positions(*dims))) / norms
+
+
 def pure_entanglement_number(psi: BipartiteVectorState) -> float:
     """Classical entanglement number of the Schmidt weights: sqrt(1 - sum s_k^4).
 
-    Evaluated through the cross terms sum_{i != j} lam_i lam_j of the Schmidt
-    weights, which avoids the cancellation of 1 - sum lam^2 near factorized
-    states.
+    Evaluated as sqrt(sum_{i != j} lam_i lam_j) through the 2x2 minors of the
+    coefficient matrix (``_cross_terms``), whose error stays near machine epsilon.
     """
-    lam = schmidt_coefficients(psi) ** 2
-    total = float(lam.sum())
-    if total <= 0.0:
-        return 0.0
-    cross = float(np.sum(lam * (total - lam)))
-    return math.sqrt(max(cross, 0.0)) / total
+    return float(_pure_numbers(psi.vector, psi.dims))
 
 
 def is_factorized_state(psi: BipartiteVectorState, tol: float = 1e-10) -> bool:

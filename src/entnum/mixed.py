@@ -14,6 +14,11 @@ m^2 real parameters and U0 a per-restart random unitary recentering.  The
 value 0 is attained exactly on separable states, so driving the objective
 below a threshold certifies separability; failing to do so proves nothing.
 
+Terms are scored through the 2x2 minors of their coefficient matrices
+(``bipartite._cross_terms``): no SVD, and no cancellation near product vectors.  For
+a fixed seed, values and evaluation counts can differ from SVD-scoring
+versions in trailing digits; they stay deterministic per seed.
+
 ``MixedResult.certificate`` is the best decomposition when it passes the
 certificate test; ``separability_certificate`` runs a full search of its own.
 """
@@ -31,7 +36,7 @@ from scipy.optimize import minimize
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure, entanglement_number
 from .operators import DensityState, hermitian_eigen, Operator
-from .bipartite import BipartiteVectorState, pure_entanglement_number
+from .bipartite import _cross_terms, _minor_positions, _pure_numbers
 
 # Spectral weights and decomposition terms below this are dropped.
 WEIGHT_CUTOFF = 1e-12
@@ -143,7 +148,11 @@ def decomposition_from_param(rho: DensityState, p: DecompositionParam) -> PureDe
     Terms with weight at most ``WEIGHT_CUTOFF`` are dropped and the remaining
     weights renormalized (relative change at most terms * cutoff).
     """
-    spectral = spectral_pure_decomposition(rho)
+    return _decompose(rho, spectral_pure_decomposition(rho), p)
+
+
+def _decompose(rho: DensityState, spectral: PureDecomposition,
+               p: DecompositionParam) -> PureDecomposition:
     r = len(spectral)
     if p.rank != r:
         raise DimensionMismatch(f"parameter has {p.rank} columns but rho has rank {r}")
@@ -164,12 +173,9 @@ def decomposition_entanglement(rho: DensityState, d: PureDecomposition) -> float
     """Weighted average of the pure entanglement numbers of the decomposition vectors."""
     da, db = _require_factor_dims(rho)
     err = d.reconstruction_error(rho)
-    if err > RECONSTRUCTION_TOL:
+    if not err <= RECONSTRUCTION_TOL:
         raise InvariantViolation(f"decomposition does not reconstruct rho (error {err:.3e})")
-    total = 0.0
-    for w, vec in zip(d.weights.weights, d.vectors):
-        total += w * pure_entanglement_number(BipartiteVectorState(vec.reshape(da, db)))
-    return total
+    return float(d.weights.weights @ _pure_numbers(d.vectors, (da, db)))
 
 
 def _require_factor_dims(rho: DensityState) -> tuple[int, int]:
@@ -181,42 +187,32 @@ def _require_factor_dims(rho: DensityState) -> tuple[int, int]:
 class _DecompositionSearch:
     """Precomputed spectral data plus a fast objective over isometry parameters."""
 
-    def __init__(self, rho: DensityState, m: int):
-        self.dims = _require_factor_dims(rho)
-        spectral = spectral_pure_decomposition(rho)
+    def __init__(self, rho: DensityState, spectral: PureDecomposition, m: int):
+        self.minors = _minor_positions(*_require_factor_dims(rho))
         self.rank = len(spectral)
         self.m = m
-        self.sqrt_mu = np.sqrt(spectral.weights.weights)
-        self.chi = spectral.vectors  # (rank, dim)
+        # rows sqrt(mu_j) chi_j, so the decomposition rows are V @ rows
+        self.rows = np.sqrt(spectral.weights.weights)[:, None] * spectral.vectors
         self.n_params = m * m
-        self._iu = np.triu_indices(m, k=1)
+        # each real or imaginary part of K is 0 or +-x[p] for one p, so skew is
+        # one gather; read its tables off K at x[p] = p + 1 (K[i, i] = i x[i];
+        # K[i, j] = re + i im and K[j, i] = -re + i im for i < j)
+        iu = np.triu_indices(m, k=1)
+        re, im = np.split(np.arange(m + 1.0, m * m + 1), 2)
+        probe = np.diag(1j * np.arange(1.0, m + 1))
+        probe[iu], probe[iu[::-1]] = re + 1j * im, -re + 1j * im
+        flat = probe.view(float).reshape(-1)
+        self._src, self._sign = np.maximum(np.abs(flat).astype(np.intp) - 1, 0), np.sign(flat)
 
     def skew(self, x: np.ndarray) -> np.ndarray:
-        m = self.m
-        k = np.zeros((m, m), dtype=complex)
-        k[np.diag_indices(m)] = 1j * x[:m]
-        n_off = self._iu[0].size
-        if n_off:
-            re = x[m : m + n_off]
-            im = x[m + n_off :]
-            k[self._iu] = re + 1j * im
-            k[self._iu[1], self._iu[0]] = -re + 1j * im
-        return k
+        return (x[self._src] * self._sign).view(complex).reshape(self.m, self.m)
 
     def isometry(self, x: np.ndarray, u0: np.ndarray) -> np.ndarray:
         return (u0 @ expm(self.skew(x)))[:, : self.rank]
 
     def objective_from_isometry(self, v: np.ndarray) -> float:
-        da, db = self.dims
-        raw = (v * self.sqrt_mu) @ self.chi  # (m, dim)
-        s = np.linalg.svd(raw.reshape(self.m, da, db), compute_uv=False)
-        lam = s**2
-        p = np.sum(lam, axis=1)
-        # per term: p_i * sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k),
-        # written in the cancellation-free cross-term form
-        cross = np.sum(lam * (p[:, None] - lam), axis=1)
-        keep = p > WEIGHT_CUTOFF
-        return float(np.sum(np.sqrt(np.maximum(cross[keep], 0.0))))
+        # per term: p_i * sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k)
+        return float(np.sum(np.sqrt(_cross_terms(v @ self.rows, self.minors))))
 
     def objective(self, x: np.ndarray, u0: np.ndarray) -> float:
         return self.objective_from_isometry(self.isometry(x, u0))
@@ -247,13 +243,13 @@ def entanglement_number_mixed(
     if opts.restarts < 1:
         raise InvariantViolation("need at least one restart")
     search_m = opts.m
-    rank_probe = spectral_pure_decomposition(rho)
-    r = len(rank_probe)
+    spectral = spectral_pure_decomposition(rho)
+    r = len(spectral)
     if search_m is None:
         search_m = max(min(r * r, 16), r)
     if search_m < r:
         raise DimensionMismatch(f"m={search_m} is below the rank {r}")
-    search = _DecompositionSearch(rho, search_m)
+    search = _DecompositionSearch(rho, spectral, search_m)
     rng = np.random.default_rng(opts.seed)
 
     eye = np.eye(search_m, dtype=complex)
@@ -305,7 +301,7 @@ def entanglement_number_mixed(
         converged = reached_floor
 
     x, u0 = best_params
-    best = decomposition_from_param(rho, DecompositionParam(search.isometry(x, u0)))
+    best = _decompose(rho, spectral, DecompositionParam(search.isometry(x, u0)))
     # report the decomposition's own score so value and witness always agree
     value = min(best_val, decomposition_entanglement(rho, best))
     return MixedResult(value=value, best=best, converged=converged or reached_floor,
@@ -316,13 +312,9 @@ def entanglement_number_mixed(
 def _certificate(rho: DensityState, value: float, best: PureDecomposition,
                  sep_threshold: float) -> Optional[PureDecomposition]:
     """``best`` if value <= sep_threshold and each vector has e <= CERT_SCALE * sqrt(it)."""
-    if value > sep_threshold:
+    if value > sep_threshold or np.any(_pure_numbers(best.vectors, rho.factor_dims)
+                                       > CERT_SCALE * math.sqrt(sep_threshold)):
         return None
-    da, db = rho.factor_dims
-    bound = CERT_SCALE * math.sqrt(sep_threshold)
-    for vec in best.vectors:
-        if pure_entanglement_number(BipartiteVectorState(vec.reshape(da, db))) > bound:
-            return None
     return best
 
 

@@ -28,6 +28,12 @@ def _require_number(x: Any) -> float:
     return float(x)
 
 
+def _require_int(x: Any) -> int:
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ParseError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def decode_complex(obj: Any) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ParseError(f"complex entries must be [re, im] pairs, got {obj!r}")
@@ -162,9 +168,9 @@ def decode_decomposition(obj: Any) -> PureDecomposition:
     )
 
 
-# one converter per OptimizerOptions field, from its default; ``m`` (default
-# None) takes an int or null
-_OPT_FIELDS = {f.name: int if f.default is None else type(f.default)
+# one checked converter per OptimizerOptions field, from its default; ``m``
+# (default None) takes an int or null
+_OPT_FIELDS = {f.name: _require_number if isinstance(f.default, float) else _require_int
                for f in dataclasses.fields(OptimizerOptions)}
 
 

@@ -224,12 +224,7 @@ def _check_example7(seed: int) -> list[VerifyRow]:
         sa = bipartite.symmetric_antisymmetric_basis(ctx)
         rows.append(_row("example7", f"n={n} doubled-space basis size", n * n, sa.dim, 0,
                          "closed-form"))
-        e_vals = [
-            bipartite.pure_entanglement_number(
-                bipartite.BipartiteVectorState(sa.vector(k).reshape(n, n))
-            )
-            for k in range(n * n)
-        ]
+        e_vals = bipartite._pure_numbers(sa.matrix, (n, n))
         worst_diag = max(abs(v) for v in e_vals[:n])
         worst_pair = max(abs(v - SQRT_HALF) for v in e_vals[n:]) if n > 1 else 0.0
         rows.append(_row("example7", f"n={n} diagonal vectors factorized", 0.0, worst_diag,
@@ -297,10 +292,7 @@ def _check_example9(seed: int, restarts: int = 80) -> list[VerifyRow]:
     rows.append(_row("example9", "separability certificate found", 1.0,
                      float(cert is not None), 0, "property"))
     if cert is not None:
-        worst = max(
-            bipartite.pure_entanglement_number(bipartite.BipartiteVectorState(v.reshape(2, 2)))
-            for v in cert.vectors
-        )
+        worst = float(np.max(bipartite._pure_numbers(cert.vectors, (2, 2))))
         rows.append(_bound_row("example9", "certificate vectors e <= 0.05", 0.05, worst,
                                "property"))
     return rows

@@ -187,6 +187,24 @@ class TestPureEntanglementNumber:
             )
 
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-4])
+    def test_near_product_closed_form(self, delta):
+        # psi ~ (1, 0, 0, delta) has Schmidt weights (1, delta^2) / (1 + delta^2)
+        vec = np.array([1.0, 0.0, 0.0, delta]) / math.sqrt(1 + delta**2)
+        psi = bp.bipartite_from_vector(vec, (2, 2))
+        expected = math.sqrt(2) * delta / (1 + delta**2)
+        assert bp.pure_entanglement_number(psi) == pytest.approx(expected, rel=1e-12)
+
+    def test_two_by_three_matches_explicit_minor_sum(self):
+        rng = np.random.default_rng(49)
+        c = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        c /= np.linalg.norm(c)
+        minors = sum(abs(c[0, j] * c[1, k] - c[0, k] * c[1, j]) ** 2
+                     for j in range(3) for k in range(j + 1, 3))
+        got = bp.pure_entanglement_number(bp.BipartiteVectorState(c))
+        assert got == pytest.approx(math.sqrt(2 * minors), rel=1e-12)
+
+
 class TestSeparableStateAndCoupling:
     def test_point_measure(self):
         rng = np.random.default_rng(48)

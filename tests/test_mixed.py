@@ -161,6 +161,69 @@ class TestDecompositionEntanglement:
             mx.decomposition_entanglement(rho, d)
 
 
+def triangular_skew(x, m):
+    """The chart generator K built entry by entry from triangular indices."""
+    iu = np.triu_indices(m, k=1)
+    k = np.zeros((m, m), dtype=complex)
+    k[np.diag_indices(m)] = 1j * x[:m]
+    n_off = iu[0].size
+    if n_off:
+        re, im = x[m : m + n_off], x[m + n_off :]
+        k[iu] = re + 1j * im
+        k[iu[1], iu[0]] = -re + 1j * im
+    return k
+
+
+class TestSearchKernel:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 5)])
+    def test_cross_terms_match_singular_values(self, dims):
+        rng = np.random.default_rng(92)
+        da, db = dims
+        rows = rng.normal(size=(7, da * db)) + 1j * rng.normal(size=(7, da * db))
+        lam = np.linalg.svd(rows.reshape(7, da, db), compute_uv=False) ** 2
+        iu = np.triu_indices(lam.shape[1], k=1)
+        expected = 2 * np.sum(lam[:, iu[0]] * lam[:, iu[1]], axis=1)
+        got = bp._cross_terms(rows, bp._minor_positions(da, db))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 5)])
+    def test_cross_terms_vanish_on_product_rows(self, dims):
+        rng = np.random.default_rng(93)
+        da, db = dims
+        a = rng.normal(size=(5, da)) + 1j * rng.normal(size=(5, da))
+        b = rng.normal(size=(5, db)) + 1j * rng.normal(size=(5, db))
+        rows = np.einsum("ia,ib->iab", a, b).reshape(5, da * db)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        minors = bp._minor_positions(da, db)
+        assert np.all(bp._cross_terms(rows, minors) <= 1e-30)
+        assert np.all(bp._cross_terms(np.zeros((2, da * db), dtype=complex), minors) == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9, 16])
+    def test_skew_gather_equals_triangular_construction(self, m):
+        rng = np.random.default_rng(94)
+        rho = op.random_density(4, rng, factor_dims=(2, 2))
+        spectral = mx.spectral_pure_decomposition(rho)
+        search = mx._DecompositionSearch(rho, spectral, max(m, len(spectral)))
+        m = search.m
+        for _ in range(3):
+            x = rng.normal(size=search.n_params)
+            k = search.skew(x)
+            assert np.array_equal(k, triangular_skew(x, m))
+            assert np.array_equal(k.conj().T, -k)
+
+    def test_objective_matches_decomposition_entanglement(self):
+        rng = np.random.default_rng(95)
+        for dims in [(2, 2), (2, 3), (3, 3)]:
+            rho = op.random_density(dims[0] * dims[1], rng, factor_dims=dims)
+            spectral = mx.spectral_pure_decomposition(rho)
+            search = mx._DecompositionSearch(rho, spectral, 2 * len(spectral))
+            x = rng.normal(0.0, 0.25, size=search.n_params)
+            u0 = mx._haar_unitary(search.m, rng)
+            d = mx.decomposition_from_param(rho, mx.DecompositionParam(search.isometry(x, u0)))
+            assert search.objective(x, u0) == pytest.approx(
+                mx.decomposition_entanglement(rho, d), abs=1e-12)
+
+
 class TestMixedOptimizer:
     def test_pure_state_returns_its_entanglement_number(self):
         rng = np.random.default_rng(87)

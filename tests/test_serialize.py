@@ -94,3 +94,18 @@ class TestDomainValues:
         with pytest.raises(ParseError):
             sz.decode_optimizer_options({**sz.encode_optimizer_options(mx.OptimizerOptions()),
                                          "bogus": 1})
+
+    @pytest.mark.parametrize("obj", [
+        {"restarts": "x"}, {"restarts": None}, {"restarts": 2.7}, {"restarts": True},
+        {"seed": float("inf")}, {"m": 2.5}, {"m": "4"}, {"sep_threshold": "1e-3"},
+        {"stop_at": None}, {"stagnation_tol": False},
+    ])
+    def test_rejects_option_of_wrong_type(self, obj):
+        with pytest.raises(ParseError):
+            sz.decode_optimizer_options(obj)
+
+    def test_accepts_integral_numbers_and_null_m(self):
+        opts = sz.decode_optimizer_options({"restarts": 3.0, "m": None, "sep_threshold": 1})
+        assert opts.restarts == 3 and isinstance(opts.restarts, int)
+        assert opts.m is None
+        assert opts.sep_threshold == 1.0 and isinstance(opts.sep_threshold, float)
