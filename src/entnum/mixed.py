@@ -8,16 +8,20 @@ sum_i |w_i><w_i| = rho, giving weights ||w_i||^2 and unit vectors w_i/||w_i||.
 
 The mixed entanglement number is the infimum, over decompositions, of the
 weighted average of the pure entanglement numbers of the decomposition
-vectors.  The search runs multi-start Nelder-Mead over a real chart of the
-isometry manifold: V = U0 expm(K)[:, :r] with K skew-Hermitian built from
-m^2 real parameters and U0 a per-restart random unitary recentering.  The
-value 0 is attained exactly on separable states, so driving the objective
-below a threshold certifies separability; failing to do so proves nothing.
+vectors: sum_i sqrt(c_i), with c_i = ||X_i||^4 - ||X_i X_i*||^2 for X_i the
+coefficient matrix of w_i.  The value 0 is attained exactly on separable
+states, so driving the objective below a threshold certifies separability;
+failing to do so proves nothing.
 
-Terms are scored through the 2x2 minors of their coefficient matrices
-(``bipartite._cross_terms``): no SVD, and no cancellation near product vectors.  For
-a fixed seed, values and evaluation counts can differ from SVD-scoring
-versions in trailing digits; they stay deterministic per seed.
+The search runs multi-start Riemannian conjugate-gradient descent on the m x r
+isometries (Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)):
+Polak-Ribiere+ directions from the analytic gradient, a QR retraction and Armijo
+backtracking.  The kink of sqrt at c = 0 is smoothed by eps, stepped down
+through ``SMOOTHING``; only the descent sees the smoothed value, and every value
+reported is the unsmoothed one.  Terms are scored through the 2x2 minors of
+their coefficient matrices (``bipartite._cross_terms``): no SVD, and no
+cancellation near product vectors.  For a fixed seed, values and evaluation
+counts differ from the earlier Nelder-Mead versions; they stay deterministic.
 
 ``MixedResult.certificate`` is the best decomposition when it passes the
 certificate test; ``separability_certificate`` runs a full search of its own.
@@ -30,11 +34,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
+# unused; bench/tracing.py patches both names until ROADMAP item 1 drops scipy
+from scipy.linalg import expm  # noqa: F401
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import DimensionMismatch, InvariantViolation
-from .measures import ProbMeasure, entanglement_number
+from .measures import ProbMeasure
 from .operators import DensityState, hermitian_eigen, Operator
 from .bipartite import _cross_terms, _minor_positions, _pure_numbers
 
@@ -45,6 +50,14 @@ ISOMETRY_TOL = 1e-9
 # Certificate vectors may each carry at most CERT_SCALE * sqrt(sep_threshold)
 # of pure entanglement.
 CERT_SCALE = 1.5
+# A smoothing stage ends when the Riemannian gradient norm is at most GRAD_TOL, when
+# the value fell by less than STALL_DROP (relative) in STALL_ITERS iterations, or when
+# Armijo backtracking fails MAX_HALVINGS times.  KICK sizes each polish round's kick.
+SMOOTHING = (1e-2, 1e-4, 1e-6, 1e-8)
+GRAD_TOL = 1e-10
+STALL_ITERS, STALL_DROP = 30, 1e-3
+ARMIJO, MAX_HALVINGS = 1e-4, 50
+KICK = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +120,12 @@ class DecompositionParam:
 class OptimizerOptions:
     """Knobs for the decomposition search.
 
-    ``m`` is the number of decomposition terms (default min(r^2, 16));
-    ``restarts`` counts the identity start plus random recenterings;
-    ``stop_at`` ends the restart loop early once the best value falls to it
-    (the default sits three orders below ``sep_threshold``, so early stops
-    never affect certificate decisions).
+    ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r)));
+    ``restarts`` counts the spectral start, the r-term start and random starts;
+    ``max_iters`` caps the conjugate-gradient iterations of one descent, summed
+    over its smoothing stages; ``stop_at`` ends a descent and the restart loop
+    once the value falls to it (the default sits three orders below
+    ``sep_threshold``, so early stops never affect certificate decisions).
     """
 
     restarts: int = 100
@@ -185,41 +199,81 @@ def _require_factor_dims(rho: DensityState) -> tuple[int, int]:
 
 
 class _DecompositionSearch:
-    """Precomputed spectral data plus a fast objective over isometry parameters."""
+    """Precomputed spectral data plus the objective and its gradient over m x r isometries."""
 
-    def __init__(self, rho: DensityState, spectral: PureDecomposition, m: int):
-        self.minors = _minor_positions(*_require_factor_dims(rho))
-        self.rank = len(spectral)
-        self.m = m
+    def __init__(self, rho: DensityState, spectral: PureDecomposition):
+        self.dims = _require_factor_dims(rho)
+        self.minors = _minor_positions(*self.dims)
         # rows sqrt(mu_j) chi_j, so the decomposition rows are V @ rows
         self.rows = np.sqrt(spectral.weights.weights)[:, None] * spectral.vectors
-        self.n_params = m * m
-        # each real or imaginary part of K is 0 or +-x[p] for one p, so skew is
-        # one gather; read its tables off K at x[p] = p + 1 (K[i, i] = i x[i];
-        # K[i, j] = re + i im and K[j, i] = -re + i im for i < j)
-        iu = np.triu_indices(m, k=1)
-        re, im = np.split(np.arange(m + 1.0, m * m + 1), 2)
-        probe = np.diag(1j * np.arange(1.0, m + 1))
-        probe[iu], probe[iu[::-1]] = re + 1j * im, -re + 1j * im
-        flat = probe.view(float).reshape(-1)
-        self._src, self._sign = np.maximum(np.abs(flat).astype(np.intp) - 1, 0), np.sign(flat)
+        self.evaluations = 0
 
-    def skew(self, x: np.ndarray) -> np.ndarray:
-        return (x[self._src] * self._sign).view(complex).reshape(self.m, self.m)
+    def terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decomposition rows w = v @ rows and their cross terms c (one evaluation)."""
+        self.evaluations += 1
+        w = v @ self.rows
+        return w, _cross_terms(w, self.minors)
 
-    def isometry(self, x: np.ndarray, u0: np.ndarray) -> np.ndarray:
-        return (u0 @ expm(self.skew(x)))[:, : self.rank]
-
-    def objective_from_isometry(self, v: np.ndarray) -> float:
+    def objective(self, v: np.ndarray) -> float:
         # per term: p_i * sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k)
-        return float(np.sum(np.sqrt(_cross_terms(v @ self.rows, self.minors))))
+        return float(np.sum(np.sqrt(self.terms(v)[1])))
 
-    def objective(self, x: np.ndarray, u0: np.ndarray) -> float:
-        return self.objective_from_isometry(self.isometry(x, u0))
+    def gradient(self, v: np.ndarray, w: np.ndarray, c: np.ndarray, eps: float) -> np.ndarray:
+        """Riemannian gradient of ``_smoothed`` at v, from its ``terms`` (w, c)."""
+        x = w.reshape(-1, *self.dims)
+        norm2 = np.sum(x.real**2 + x.imag**2, axis=(1, 2))[:, None, None]
+        g = 2.0 * (norm2 * x - x @ x.conj().transpose(0, 2, 1) @ x)
+        g /= np.sqrt(c + eps * eps)[:, None, None]
+        return _tangent(v, g.reshape(w.shape) @ self.rows.conj().T)
+
+    def descend(self, v: np.ndarray, max_iters: int, stop_at: float) -> tuple[float, np.ndarray]:
+        """Conjugate gradients from v through the smoothing stages; (value, isometry) at the end."""
+        w, c = self.terms(v)
+        value, step, iters = float(np.sum(np.sqrt(c))), 1.0, 0
+        for eps in SMOOTHING:
+            f, xi = _smoothed(c, eps), self.gradient(v, w, c, eps)
+            d, trail = -xi, [value]
+            while iters < max_iters and value > stop_at and np.linalg.norm(xi) > GRAD_TOL:
+                slope = np.vdot(xi, d).real
+                if slope >= 0.0:  # not a descent direction: restart from steepest descent
+                    d, slope = -xi, -np.vdot(xi, xi).real
+                t = 2.0 * step
+                for _ in range(MAX_HALVINGS):  # Armijo backtracking
+                    v1 = _qr_isometry(v + t * d)
+                    w1, c1 = self.terms(v1)
+                    f1 = _smoothed(c1, eps)
+                    if f1 <= f + ARMIJO * t * slope:
+                        break
+                    t /= 2.0
+                else:
+                    break
+                xi1 = self.gradient(v1, w1, c1, eps)
+                # vector transport by projection onto the tangent space at v1
+                beta = max(0.0, np.vdot(xi1, xi1 - _tangent(v1, xi)).real / np.vdot(xi, xi).real)
+                d = beta * _tangent(v1, d) - xi1
+                v, w, c, f, xi, step = v1, w1, c1, f1, xi1, t
+                value = float(np.sum(np.sqrt(c)))
+                iters += 1
+                trail.append(value)
+                if len(trail) > STALL_ITERS and \
+                        value > (1.0 - STALL_DROP) * trail[-1 - STALL_ITERS]:
+                    break
+        return value, v
 
 
-def _haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / math.sqrt(2.0)
+def _smoothed(c: np.ndarray, eps: float) -> float:
+    """sum sqrt(c + eps^2) - eps, in a form that does not cancel for c << eps^2."""
+    return float(np.sum(c / (np.sqrt(c + eps * eps) + eps)))
+
+
+def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Projection of z onto the tangent space of the isometries at v: z - v herm(v* z)."""
+    vz = v.conj().T @ z
+    return z - v @ ((vz + vz.conj().T) / 2.0)
+
+
+def _qr_isometry(z: np.ndarray) -> np.ndarray:
+    """Q factor of z with the phases of diag(R) fixed to 1, so the factor is unique."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d.conj() / np.abs(d))
@@ -231,10 +285,12 @@ def entanglement_number_mixed(
     """Minimize the decomposition entanglement of rho over visited decompositions.
 
     Restart 0 evaluates the spectral decomposition itself (identity isometry),
-    so the result never exceeds it.  Subsequent restarts recenter the chart at
-    a seeded random unitary and run Nelder-Mead; the best parameters get
-    ``polish_rounds`` extra descent rounds.  Results are deterministic for a
-    fixed seed and restart count.
+    so the result never exceeds it.  Restart 1 descends from a seeded random
+    r x r unitary padded with m - r zero rows, which get zero gradient and stay
+    zero: an r-term search.  Later restarts descend from seeded random m x r
+    isometries.  Each of the ``polish_rounds`` descends again from the best
+    isometry after a random kick of size ``KICK``, so rows left at zero can
+    join in.  Results are deterministic for a fixed seed and restart count.
 
     ``converged`` reports stagnation of the best value over the trailing
     ``patience`` restarts (or hitting ``stop_at``); it is a heuristic, not a
@@ -246,53 +302,37 @@ def entanglement_number_mixed(
     spectral = spectral_pure_decomposition(rho)
     r = len(spectral)
     if search_m is None:
-        search_m = max(min(r * r, 16), r)
+        search_m = min(r * r, max(16, 2 * r))
     if search_m < r:
         raise DimensionMismatch(f"m={search_m} is below the rank {r}")
-    search = _DecompositionSearch(rho, spectral, search_m)
+    search = _DecompositionSearch(rho, spectral)
     rng = np.random.default_rng(opts.seed)
 
-    eye = np.eye(search_m, dtype=complex)
-    zero = np.zeros(search.n_params)
-    best_val = search.objective(zero, eye)
-    best_params: tuple[np.ndarray, np.ndarray] = (zero, eye)
-    evaluations = 1
+    def gaussian(rows: int) -> np.ndarray:
+        return rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
+
+    best_v = np.eye(search_m, r, dtype=complex)
+    best_val = search.objective(best_v)
     history = [best_val]
 
-    def run_descent(x0: np.ndarray, u0: np.ndarray) -> None:
-        nonlocal best_val, best_params, evaluations
-        res = minimize(
-            search.objective,
-            x0,
-            args=(u0,),
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iters,
-                "maxfev": 2 * opts.max_iters,
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "adaptive": True,
-            },
-        )
-        evaluations += int(res.nfev)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_params = (np.array(res.x), u0)
+    def run_descent(v0: np.ndarray) -> None:
+        nonlocal best_val, best_v
+        val, v = search.descend(v0, opts.max_iters, opts.stop_at)
+        if val < best_val:
+            best_val, best_v = val, v
+        history.append(best_val)
 
     for k in range(1, opts.restarts):
         if best_val <= opts.stop_at:
             break
-        u0 = _haar_unitary(search_m, rng)
-        x0 = rng.normal(0.0, 0.25, size=search.n_params)
-        run_descent(x0, u0)
-        history.append(best_val)
+        live = r if k == 1 else search_m
+        run_descent(np.vstack([_qr_isometry(gaussian(live)),
+                               np.zeros((search_m - live, r), dtype=complex)]))
 
     for _ in range(opts.polish_rounds):
         if best_val <= opts.stop_at:
             break
-        x0, u0 = best_params
-        run_descent(x0 + 0.0, u0)
-        history.append(best_val)
+        run_descent(_qr_isometry(best_v + KICK * gaussian(search_m)))
 
     reached_floor = best_val <= opts.stop_at
     if len(history) > opts.patience:
@@ -300,12 +340,11 @@ def entanglement_number_mixed(
     else:
         converged = reached_floor
 
-    x, u0 = best_params
-    best = _decompose(rho, spectral, DecompositionParam(search.isometry(x, u0)))
+    best = _decompose(rho, spectral, DecompositionParam(best_v))
     # report the decomposition's own score so value and witness always agree
     value = min(best_val, decomposition_entanglement(rho, best))
     return MixedResult(value=value, best=best, converged=converged or reached_floor,
-                       evaluations=evaluations,
+                       evaluations=search.evaluations,
                        certificate=_certificate(rho, value, best, opts.sep_threshold))
 
 

@@ -119,11 +119,11 @@ def decode_bipartite_state(obj: Any) -> BipartiteVectorState:
     if not isinstance(obj, dict):
         raise ParseError("expected {dimA, dimB, coeff}")
     try:
-        da, db = int(obj["dimA"]), int(obj["dimB"])
-        coeff = obj["coeff"]
-    except (KeyError, TypeError, ValueError) as exc:
+        da, db, coeff = obj["dimA"], obj["dimB"], obj["coeff"]
+    except KeyError as exc:
         raise ParseError(f"malformed bipartite state object: {exc}") from exc
-    return bipartite_from_vector(decode_matrix(coeff).reshape(-1), (da, db))
+    return bipartite_from_vector(decode_matrix(coeff).reshape(-1),
+                                 (_require_int(da), _require_int(db)))
 
 
 def encode_bipartite_state(psi: BipartiteVectorState) -> dict:

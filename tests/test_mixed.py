@@ -161,17 +161,29 @@ class TestDecompositionEntanglement:
             mx.decomposition_entanglement(rho, d)
 
 
-def triangular_skew(x, m):
-    """The chart generator K built entry by entry from triangular indices."""
-    iu = np.triu_indices(m, k=1)
-    k = np.zeros((m, m), dtype=complex)
-    k[np.diag_indices(m)] = 1j * x[:m]
-    n_off = iu[0].size
-    if n_off:
-        re, im = x[m : m + n_off], x[m + n_off :]
-        k[iu] = re + 1j * im
-        k[iu[1], iu[0]] = -re + 1j * im
-    return k
+def wootters_e(rho):
+    """Two-qubit entanglement number: concurrence / sqrt 2 (Wootters, PRL 80, 2245 (1998))."""
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    flipped = yy @ rho.conj() @ yy
+    lam = np.sqrt(np.abs(np.sort(np.linalg.eigvals(rho @ flipped).real)[::-1]))
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3]) / math.sqrt(2)
+
+
+def werner(p):
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
+    return p * np.outer(singlet, singlet) + (1 - p) / 4 * np.eye(4)
+
+
+def haar_isometry(m, r, rng):
+    return mx._qr_isometry(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
+
+
+def search_and_start(dims, rng):
+    """Search over a random full-rank state, and a random 2r x r isometry to start from."""
+    rho = op.random_density(dims[0] * dims[1], rng, factor_dims=dims)
+    spectral = mx.spectral_pure_decomposition(rho)
+    r = len(spectral)
+    return rho, mx._DecompositionSearch(rho, spectral), haar_isometry(2 * r, r, rng)
 
 
 class TestSearchKernel:
@@ -198,30 +210,44 @@ class TestSearchKernel:
         assert np.all(bp._cross_terms(rows, minors) <= 1e-30)
         assert np.all(bp._cross_terms(np.zeros((2, da * db), dtype=complex), minors) == 0.0)
 
-    @pytest.mark.parametrize("m", [1, 2, 4, 9, 16])
-    def test_skew_gather_equals_triangular_construction(self, m):
-        rng = np.random.default_rng(94)
-        rho = op.random_density(4, rng, factor_dims=(2, 2))
-        spectral = mx.spectral_pure_decomposition(rho)
-        search = mx._DecompositionSearch(rho, spectral, max(m, len(spectral)))
-        m = search.m
-        for _ in range(3):
-            x = rng.normal(size=search.n_params)
-            k = search.skew(x)
-            assert np.array_equal(k, triangular_skew(x, m))
-            assert np.array_equal(k.conj().T, -k)
-
     def test_objective_matches_decomposition_entanglement(self):
         rng = np.random.default_rng(95)
         for dims in [(2, 2), (2, 3), (3, 3)]:
-            rho = op.random_density(dims[0] * dims[1], rng, factor_dims=dims)
-            spectral = mx.spectral_pure_decomposition(rho)
-            search = mx._DecompositionSearch(rho, spectral, 2 * len(spectral))
-            x = rng.normal(0.0, 0.25, size=search.n_params)
-            u0 = mx._haar_unitary(search.m, rng)
-            d = mx.decomposition_from_param(rho, mx.DecompositionParam(search.isometry(x, u0)))
-            assert search.objective(x, u0) == pytest.approx(
+            rho, search, v = search_and_start(dims, rng)
+            d = mx.decomposition_from_param(rho, mx.DecompositionParam(v))
+            assert search.objective(v) == pytest.approx(
                 mx.decomposition_entanglement(rho, d), abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_gradient_matches_finite_difference(self, dims):
+        rng = np.random.default_rng(96)
+        _, search, v = search_and_start(dims, rng)
+        z = mx._tangent(v, rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
+        eps, h = 1e-2, 1e-6
+
+        def f(t):
+            return mx._smoothed(search.terms(mx._qr_isometry(v + t * z))[1], eps)
+
+        grad = search.gradient(v, *search.terms(v), eps)
+        slope = np.vdot(grad, z).real
+        assert (f(h) - f(-h)) / (2 * h) == pytest.approx(slope, rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (9, 3), (32, 16)])
+    def test_retraction_is_isometry(self, shape):
+        rng = np.random.default_rng(97)
+        v = haar_isometry(*shape, rng)
+        moved = mx._qr_isometry(v + 0.7 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        for q in (v, moved):
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(shape[1]), rtol=0, atol=1e-12)
+
+    def test_zero_rows_stay_zero(self):
+        rng = np.random.default_rng(98)
+        _, search, v = search_and_start((2, 3), rng)
+        m, r = v.shape
+        start = np.vstack([haar_isometry(r, r, rng), np.zeros((m - r, r))])
+        value, v = search.descend(start, 300, 0.0)
+        assert np.all(v[r:] == 0)
+        assert value < search.objective(start)
 
 
 class TestMixedOptimizer:
@@ -265,6 +291,34 @@ class TestMixedOptimizer:
         # dominance holds up to the optimizer's early-stop floor; the supplied
         # decomposition here is already optimal (score ~ machine noise)
         assert result.value <= mx.decomposition_entanglement(rho, supplied) + FAST.stop_at
+
+    @pytest.mark.parametrize("name", ["werner0.8", "werner0.3", "wishart89", "products3"])
+    def test_rank_three_and_four_reach_exact_value(self, name):
+        rng = np.random.default_rng(41)
+        vecs = np.stack([product_vector(rng) for _ in range(3)])
+        states = {
+            "werner0.8": (werner(0.8), (3 * 0.8 - 1) / 2 / math.sqrt(2)),
+            "werner0.3": (werner(0.3), 0.0),
+            "wishart89": (op.random_density(4, np.random.default_rng(89)).mat, 0.0157310121),
+            "products3": (np.einsum("i,ia,ib->ab", rng.dirichlet(np.ones(3)), vecs, vecs.conj()),
+                          0.0),
+        }
+        mat, exact = states[name]
+        assert wootters_e(mat) == pytest.approx(exact, abs=1e-10)
+        rho = op.DensityState(mat, factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(
+            rho, mx.OptimizerOptions(restarts=2, max_iters=500, seed=0))
+        assert result.value == pytest.approx(exact, abs=1e-6)
+
+    def test_default_m_reaches_full_rank_isotropic_value(self):
+        d, fidelity = 4, 0.5
+        phi = np.eye(d).reshape(-1) / math.sqrt(d)
+        proj = np.outer(phi, phi)
+        mat = fidelity * proj + (1 - fidelity) * (np.eye(d * d) - proj) / (d * d - 1)
+        rho = op.DensityState(mat, factor_dims=(d, d))
+        result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, seed=0))
+        assert result.value == pytest.approx(math.sqrt(d / (d - 1)) * (fidelity - 1 / d),
+                                             abs=1e-4)
 
     def test_value_at_most_spectral(self):
         rng = np.random.default_rng(89)

@@ -58,6 +58,13 @@ class TestDomainValues:
         back = sz.decode_bipartite_state(sz.encode_bipartite_state(psi))
         np.testing.assert_allclose(back.coeff, psi.coeff)
 
+    @pytest.mark.parametrize("dim", ["2", 2.7, True, None])
+    def test_rejects_bipartite_dims_of_wrong_type(self, dim):
+        obj = sz.encode_bipartite_state(bp.bipartite_from_vector(np.eye(4)[0], (2, 2)))
+        for key in ("dimA", "dimB"):
+            with pytest.raises(ParseError):
+                sz.decode_bipartite_state({**obj, key: dim})
+
     def test_entanglement_round_trip(self):
         e = bp.random_entanglement(3, np.random.default_rng(1))
         back = sz.decode_entanglement(sz.encode_entanglement(e))
