@@ -44,7 +44,7 @@ class BipartiteVectorState:
         c = np.asarray(self.coeff, dtype=complex)
         if c.ndim != 2 or c.size == 0:
             raise DimensionMismatch(f"coefficient matrix must be 2-d, got shape {c.shape}")
-        if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
+        if not np.isfinite(c).all():
             raise InvariantViolation("coefficients must be finite")
         nrm = float(np.linalg.norm(c))
         if abs(nrm - 1.0) > COEFF_UNIT_TOL:
@@ -111,8 +111,7 @@ def tensor(a: Operator, b: Operator) -> Operator:
 
 def product_context(ctx_a: Context, ctx_b: Context) -> Context:
     """Context {phi_i (x) psi_j} on the product space, ordered i-major."""
-    rows = [np.kron(ra, rb) for ra in ctx_a.matrix for rb in ctx_b.matrix]
-    return context_from_rows(np.stack(rows))
+    return context_from_rows(np.kron(ctx_a.matrix, ctx_b.matrix))
 
 
 def psi_from_entanglement(e: Entanglement) -> BipartiteVectorState:

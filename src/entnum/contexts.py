@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .operators import Operator, VectorState, hermitian_eigen, hs_norm
+from .operators import Operator, _as_complex_matrix, hermitian_eigen, hs_norm
 
 ORTHO_TOL = 1e-10
 COMPLETE_TOL = 1e-9
@@ -30,47 +30,32 @@ COMPLETE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """Ordered orthonormal basis of a finite-dimensional complex space."""
+    """Ordered orthonormal basis; ``matrix`` holds its vectors as rows, read-only."""
 
-    basis: tuple[VectorState, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(self.basis)
-        if not basis:
-            raise DimensionMismatch("context needs at least one basis vector")
-        dim = basis[0].dim
-        if any(b.dim != dim for b in basis):
-            raise DimensionMismatch("context basis vectors have mixed dimensions")
-        if len(basis) != dim:
-            raise DimensionMismatch(f"context has {len(basis)} vectors for dimension {dim}")
-        rows = np.stack([b.vec for b in basis])
-        gram = rows.conj() @ rows.T
-        if np.max(np.abs(gram - np.eye(dim))) > ORTHO_TOL:
+        # C order: a transposed view would otherwise keep its F order, and
+        # reductions over the rows would round differently
+        rows = _as_complex_matrix(np.array(self.matrix, dtype=complex, order="C"))
+        eye = np.eye(rows.shape[0])
+        if np.abs(rows.conj() @ rows.T - eye).max() > ORTHO_TOL:
             raise InvariantViolation("context basis is not orthonormal within tolerance")
-        completeness = rows.T @ rows.conj()
-        if np.max(np.abs(completeness - np.eye(dim))) > COMPLETE_TOL:
+        if np.abs(rows.T @ rows.conj() - eye).max() > COMPLETE_TOL:
             raise InvariantViolation("context projections do not sum to the identity")
-        rows.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Basis vectors stacked as rows, shape (dim, dim)."""
-        return self._rows
+        return self.matrix.shape[0]
 
     def vector(self, i: int) -> np.ndarray:
         """i-th basis vector (0-based)."""
-        return self.basis[i].vec
+        return self.matrix[i]
 
 
 def context_from_rows(rows) -> Context:
-    arr = np.asarray(rows, dtype=complex)
-    return Context(tuple(VectorState(r) for r in arr))
+    return Context(rows)
 
 
 def context_from_columns(cols) -> Context:
@@ -147,8 +132,8 @@ def is_measurable(a: Operator, ctx: Context, tol: float = 1e-10) -> bool:
     if tol <= 0:
         raise InvariantViolation("tolerance must be positive")
     worst = 0.0
-    for b in ctx.basis:
-        p = np.outer(b.vec, b.vec.conj())
+    for row in ctx.matrix:
+        p = np.outer(row, row.conj())
         worst = max(worst, float(np.linalg.norm(a.mat @ p - p @ a.mat)))
     commutes = worst <= tol
     residual_small = hs_norm(residual_map(a, ctx)) <= tol * ctx.dim

@@ -29,10 +29,10 @@ def _clean_weights(raw, ndim: int) -> np.ndarray:
     w = np.asarray(raw, dtype=float)
     if w.ndim != ndim or w.size == 0:
         raise InvariantViolation(f"expected a non-empty {ndim}-d weight array, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InvariantViolation("weights must be finite")
-    if np.min(w) < -ZERO_TOL:
-        raise InvariantViolation(f"negative weight {np.min(w):.3e}")
+    if w.min() < -ZERO_TOL:
+        raise InvariantViolation(f"negative weight {w.min():.3e}")
     w = np.maximum(w, 0.0)
     total = float(w.sum())
     if abs(total - 1.0) > ZERO_TOL:
@@ -81,6 +81,11 @@ def entanglement_index(u: ProbMeasure) -> int:
     return len(support(u))
 
 
+def _e_kernel(w: np.ndarray) -> float:
+    """sqrt(sum w (1 - w)) over every entry of w, clamped at 0."""
+    return math.sqrt(max(float(np.sum(w * (1.0 - w))), 0.0))
+
+
 def entanglement_number(u: ProbMeasure) -> float:
     """e(u) = sqrt(1 - sum u_i^2), in [0, 1).
 
@@ -88,7 +93,7 @@ def entanglement_number(u: ProbMeasure) -> float:
     is equal and stays relatively accurate near point measures where the
     1 - sum u_i^2 form cancels catastrophically.
     """
-    return math.sqrt(max(float(np.sum(u.weights * (1.0 - u.weights))), 0.0))
+    return _e_kernel(u.weights)
 
 
 def is_point(u: ProbMeasure) -> bool:
@@ -147,4 +152,4 @@ def is_factorized(u: ProductMeasure, tol: float = 1e-10) -> bool:
 
 def product_entanglement_number(u: ProductMeasure) -> float:
     """e(u) = sqrt(1 - sum u_ij^2), evaluated in the cancellation-free form."""
-    return math.sqrt(max(float(np.sum(u.weights * (1.0 - u.weights))), 0.0))
+    return _e_kernel(u.weights)

@@ -34,14 +34,23 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# unused; bench/tracing.py patches both names until ROADMAP item 1 drops scipy
-from scipy.linalg import expm  # noqa: F401
-from scipy.optimize import minimize  # noqa: F401
 
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure
 from .operators import DensityState, hermitian_eigen, Operator
 from .bipartite import _cross_terms, _minor_positions, _pure_numbers
+
+
+# scipy names that bench/tracing.py patches, loaded on first access; ROADMAP item 1 deletes this
+def __getattr__(name: str):
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Spectral weights and decomposition terms below this are dropped.
 WEIGHT_CUTOFF = 1e-12

@@ -30,7 +30,7 @@ def _as_complex_matrix(raw) -> np.ndarray:
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise InvariantViolation("matrix entries must be finite")
     m.setflags(write=False)
     return m
@@ -60,7 +60,7 @@ class VectorState:
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.size == 0:
             raise DimensionMismatch("empty state vector")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise InvariantViolation("state vector entries must be finite")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > UNIT_TOL:

@@ -64,6 +64,13 @@ class TestTensor:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("dims", [(2, 3), (4, 4)])
+    def test_product_context_equals_kron_of_each_row_pair(self, dims):
+        rng = np.random.default_rng(42)
+        a, b = (cx.random_context(d, rng) for d in dims)
+        rows = np.stack([np.kron(ra, rb) for ra in a.matrix for rb in b.matrix])
+        assert np.array_equal(bp.product_context(a, b).matrix, rows)
+
 
 class TestPsiFromEntanglement:
     def test_point_measure_factorizes(self):

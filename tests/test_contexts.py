@@ -25,7 +25,31 @@ class TestContextValidation:
 
     def test_rejects_wrong_count(self):
         with pytest.raises(DimensionMismatch):
-            cx.Context((op.VectorState(np.array([1, 0], dtype=complex)),))
+            cx.Context(np.array([[1, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # a NaN makes every Gram deviation NaN, which no "> tol" test catches
+        rows = np.eye(3, dtype=complex)
+        rows[1, 2] = bad
+        with pytest.raises(InvariantViolation):
+            cx.Context(rows)
+
+    def test_matrix_is_a_c_ordered_read_only_copy(self):
+        rng = np.random.default_rng(24)
+        q = cx.random_context(4, rng).matrix
+        cols = np.array(q.T)
+        herm = op.random_operator(4, rng).mat
+        for ctx in (
+            cx.random_context(4, rng),
+            cx.context_from_columns(cols),
+            cx.eigenvector_context(op.Operator(herm + herm.conj().T)),
+        ):
+            assert ctx.matrix.flags.c_contiguous
+            assert not ctx.matrix.flags.writeable
+        ctx = cx.context_from_columns(cols)
+        cols[0, 0] = 0.0
+        np.testing.assert_array_equal(ctx.matrix, q)
 
     def test_random_contexts_are_valid(self):
         rng = np.random.default_rng(20)
@@ -84,7 +108,7 @@ class TestContextCoefficient:
             dim = int(rng.integers(2, 6))
             a = op.random_operator(dim, rng)
             ctx = cx.random_context(dim, rng)
-            total = sum(op.variance(op.pure_state(b), a) for b in ctx.basis)
+            total = sum(op.variance(op.pure_state(op.VectorState(r)), a) for r in ctx.matrix)
             assert cx.context_coefficient(a, ctx) == pytest.approx(
                 math.sqrt(total), abs=1e-7
             )
