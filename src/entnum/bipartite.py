@@ -30,8 +30,8 @@ from .measures import ProbMeasure, entanglement_number
 from .operators import DensityState, Operator, hs_norm
 
 COEFF_UNIT_TOL = 1e-10
-# Singular values below this are treated as zero for rank decisions.
-SCHMIDT_CUTOFF = 1e-12
+# is_factorized_state accepts a largest Schmidt weight of at least 1 - FACTORIZED_TOL.
+FACTORIZED_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,7 @@ class BipartiteVectorState:
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=complex)
+        c = np.array(self.coeff, dtype=complex)
         if c.ndim != 2 or c.size == 0:
             raise DimensionMismatch(f"coefficient matrix must be 2-d, got shape {c.shape}")
         if not np.isfinite(c).all():
@@ -187,10 +187,10 @@ def pure_entanglement_number(psi: BipartiteVectorState) -> float:
     return float(_pure_numbers(psi.vector, psi.dims))
 
 
-def is_factorized_state(psi: BipartiteVectorState, tol: float = 1e-10) -> bool:
-    """True when the largest Schmidt weight carries all the mass within tol."""
+def is_factorized_state(psi: BipartiteVectorState) -> bool:
+    """True when the largest Schmidt weight carries all the mass within ``FACTORIZED_TOL``."""
     s = schmidt_coefficients(psi)
-    return bool(s[0] ** 2 >= 1.0 - tol)
+    return bool(s[0] ** 2 >= 1.0 - FACTORIZED_TOL)
 
 
 def separable_state(e: Entanglement) -> DensityState:

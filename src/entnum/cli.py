@@ -96,7 +96,7 @@ def _load_json(path: str) -> tuple[object, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw), digest
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -133,7 +133,7 @@ def cmd_schmidt(args) -> tuple[Report, int]:
     lam = e.lam.weights
     report.add("schmidt_weights", "[" + ", ".join(f"{w:.16g}" for w in lam) + "]", 1e-12)
     report.add("entanglement_number", bipartite.pure_entanglement_number(psi), 1e-12)
-    report.add("factorized", bipartite.is_factorized_state(psi), 1e-10)
+    report.add("factorized", bipartite.is_factorized_state(psi), bipartite.FACTORIZED_TOL)
     return report, EXIT_OK
 
 
@@ -167,11 +167,11 @@ def cmd_mixed(args) -> tuple[Report, int]:
     report.add("spectral_terms", len(spectral))
     report.add("spectral_value", mixed.decomposition_entanglement(rho, spectral), 1e-9)
     result = mixed.entanglement_number_mixed(rho, opts)
-    report.add("optimized_value", result.value, opts.sep_threshold)
+    report.add("optimized_value", result.value, mixed.SEP_THRESHOLD)
     report.add("converged", result.converged)
     report.add("objective_evaluations", result.evaluations)
     cert = result.certificate
-    report.add("certificate", cert is not None, opts.sep_threshold)
+    report.add("certificate", cert is not None, mixed.SEP_THRESHOLD)
     if cert is not None and args.out:
         Path(args.out).write_text(
             json.dumps(serialize.encode_decomposition(cert), indent=2) + "\n"
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--m", type=int, default=None, help="decomposition terms (default rank^2, capped at 16)")
+    p.add_argument("--m", type=int, default=None,
+                   help="decomposition terms (default min(rank^2, max(16, 2*rank)))")
     p.add_argument("--require-converged", action="store_true")
     p.add_argument("--out", default=None, help="write the certificate decomposition here")
     p.set_defaults(func=cmd_mixed)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .operators import Operator, _as_complex_matrix, hermitian_eigen, hs_norm
+from .operators import Operator, _as_complex_matrix, _qr_isometry, hermitian_eigen, hs_norm
 
 ORTHO_TOL = 1e-10
 COMPLETE_TOL = 1e-9
@@ -37,7 +37,7 @@ class Context:
     def __post_init__(self):
         # C order: a transposed view would otherwise keep its F order, and
         # reductions over the rows would round differently
-        rows = _as_complex_matrix(np.array(self.matrix, dtype=complex, order="C"))
+        rows = _as_complex_matrix(np.ascontiguousarray(self.matrix, dtype=complex))
         eye = np.eye(rows.shape[0])
         if np.abs(rows.conj() @ rows.T - eye).max() > ORTHO_TOL:
             raise InvariantViolation("context basis is not orthonormal within tolerance")
@@ -69,10 +69,7 @@ def standard_context(dim: int) -> Context:
 def random_context(dim: int, rng: np.random.Generator) -> Context:
     """Haar-like random context: QR of a complex Gaussian matrix, phases fixed."""
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d.conj() / np.abs(d))
-    return context_from_columns(q)
+    return context_from_columns(_qr_isometry(z))
 
 
 def eigenvector_context(a: Operator) -> Context:
@@ -84,12 +81,6 @@ def eigenvector_context(a: Operator) -> Context:
 def _check_op(a: Operator, ctx: Context) -> None:
     if a.dim != ctx.dim:
         raise DimensionMismatch(f"operator dim {a.dim} vs context dim {ctx.dim}")
-
-
-def _in_context_frame(a: Operator, ctx: Context) -> np.ndarray:
-    """Matrix of A in the context basis: entry (i, j) is <phi_i, A phi_j>."""
-    rows = ctx.matrix
-    return rows.conj() @ a.mat @ rows.T
 
 
 def context_coefficient(a: Operator, ctx: Context) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure
-from .operators import DensityState, hermitian_eigen, Operator
+from .operators import DensityState, hermitian_eigen, Operator, _qr_isometry
 from .bipartite import _cross_terms, _minor_positions, _pure_numbers
 
 
@@ -56,9 +56,19 @@ def __getattr__(name: str):
 WEIGHT_CUTOFF = 1e-12
 RECONSTRUCTION_TOL = 1e-9
 ISOMETRY_TOL = 1e-9
-# Certificate vectors may each carry at most CERT_SCALE * sqrt(sep_threshold)
-# of pure entanglement.
+# A result certifies separability when its value is at most SEP_THRESHOLD and
+# each of its vectors carries at most CERT_SCALE * sqrt(SEP_THRESHOLD) of pure
+# entanglement.
+SEP_THRESHOLD = 1e-3
 CERT_SCALE = 1.5
+# A descent and the restart loop end once the value falls to STOP_AT, three
+# orders below SEP_THRESHOLD, so early stops never affect certificate decisions.
+STOP_AT = 1e-9
+# The search has converged when the best value fell by less than STAGNATION_TOL
+# over the trailing PATIENCE descents (or reached STOP_AT).
+STAGNATION_TOL, PATIENCE = 1e-8, 15
+# Descents from the kicked best isometry after the restarts.
+POLISH_ROUNDS = 2
 # A smoothing stage ends when the Riemannian gradient norm is at most GRAD_TOL, when
 # the value fell by less than STALL_DROP (relative) in STALL_ITERS iterations, or when
 # Armijo backtracking fails MAX_HALVINGS times.  KICK sizes each polish round's kick.
@@ -77,11 +87,13 @@ class PureDecomposition:
     vectors: np.ndarray  # shape (terms, dim), rows are unit vectors
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != len(self.weights):
             raise DimensionMismatch(
                 f"expected {len(self.weights)} vectors, got array of shape {v.shape}"
             )
+        if not np.isfinite(v).all():
+            raise InvariantViolation("decomposition vectors must be finite")
         norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise InvariantViolation("decomposition vectors must be unit norm")
@@ -107,9 +119,11 @@ class DecompositionParam:
     matrix: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.matrix, dtype=complex)
+        v = np.array(self.matrix, dtype=complex)
         if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] == 0:
             raise DimensionMismatch(f"isometry must be m x r with m >= r, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise InvariantViolation("isometry entries must be finite")
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(v.shape[1]))) > ISOMETRY_TOL:
             raise InvariantViolation("parameter columns are not orthonormal")
@@ -127,25 +141,20 @@ class DecompositionParam:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the decomposition search.
+    """Settings of the decomposition search.
 
-    ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r)));
     ``restarts`` counts the spectral start, the r-term start and random starts;
     ``max_iters`` caps the conjugate-gradient iterations of one descent, summed
-    over its smoothing stages; ``stop_at`` ends a descent and the restart loop
-    once the value falls to it (the default sits three orders below
-    ``sep_threshold``, so early stops never affect certificate decisions).
+    over its smoothing stages; ``seed`` seeds the random starts; ``m`` is the
+    number of decomposition terms (default min(r^2, max(16, 2r))).  The stop,
+    convergence and certificate rules are the module constants ``STOP_AT``,
+    ``STAGNATION_TOL``, ``PATIENCE``, ``POLISH_ROUNDS`` and ``SEP_THRESHOLD``.
     """
 
     restarts: int = 100
     max_iters: int = 2000
-    stagnation_tol: float = 1e-8
-    patience: int = 15
-    sep_threshold: float = 1e-3
     seed: int = 0
     m: Optional[int] = None
-    polish_rounds: int = 2
-    stop_at: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +196,7 @@ def _decompose(rho: DensityState, spectral: PureDecomposition,
     vectors = raw[keep] / np.sqrt(weights)[:, None]
     d = PureDecomposition(ProbMeasure(weights / weights.sum()), vectors)
     err = d.reconstruction_error(rho)
-    if err > RECONSTRUCTION_TOL:
+    if not err <= RECONSTRUCTION_TOL:
         raise InvariantViolation(f"parameterized decomposition misses rho by {err:.3e}")
     return d
 
@@ -281,13 +290,6 @@ def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z - v @ ((vz + vz.conj().T) / 2.0)
 
 
-def _qr_isometry(z: np.ndarray) -> np.ndarray:
-    """Q factor of z with the phases of diag(R) fixed to 1, so the factor is unique."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d.conj() / np.abs(d))
-
-
 def entanglement_number_mixed(
     rho: DensityState, opts: OptimizerOptions = OptimizerOptions()
 ) -> MixedResult:
@@ -297,12 +299,12 @@ def entanglement_number_mixed(
     so the result never exceeds it.  Restart 1 descends from a seeded random
     r x r unitary padded with m - r zero rows, which get zero gradient and stay
     zero: an r-term search.  Later restarts descend from seeded random m x r
-    isometries.  Each of the ``polish_rounds`` descends again from the best
+    isometries.  Each of the ``POLISH_ROUNDS`` descends again from the best
     isometry after a random kick of size ``KICK``, so rows left at zero can
     join in.  Results are deterministic for a fixed seed and restart count.
 
     ``converged`` reports stagnation of the best value over the trailing
-    ``patience`` restarts (or hitting ``stop_at``); it is a heuristic, not a
+    ``PATIENCE`` descents (or hitting ``STOP_AT``); it is a heuristic, not a
     proof that the infimum was found.
     """
     if opts.restarts < 1:
@@ -326,44 +328,37 @@ def entanglement_number_mixed(
 
     def run_descent(v0: np.ndarray) -> None:
         nonlocal best_val, best_v
-        val, v = search.descend(v0, opts.max_iters, opts.stop_at)
+        val, v = search.descend(v0, opts.max_iters, STOP_AT)
         if val < best_val:
             best_val, best_v = val, v
         history.append(best_val)
 
     for k in range(1, opts.restarts):
-        if best_val <= opts.stop_at:
+        if best_val <= STOP_AT:
             break
         live = r if k == 1 else search_m
         run_descent(np.vstack([_qr_isometry(gaussian(live)),
                                np.zeros((search_m - live, r), dtype=complex)]))
 
-    for _ in range(opts.polish_rounds):
-        if best_val <= opts.stop_at:
+    for _ in range(POLISH_ROUNDS):
+        if best_val <= STOP_AT:
             break
         run_descent(_qr_isometry(best_v + KICK * gaussian(search_m)))
 
-    reached_floor = best_val <= opts.stop_at
-    if len(history) > opts.patience:
-        converged = (history[-1 - opts.patience] - history[-1]) < opts.stagnation_tol
+    reached_floor = best_val <= STOP_AT
+    if len(history) > PATIENCE:
+        converged = (history[-1 - PATIENCE] - history[-1]) < STAGNATION_TOL
     else:
         converged = reached_floor
 
     best = _decompose(rho, spectral, DecompositionParam(best_v))
     # report the decomposition's own score so value and witness always agree
-    value = min(best_val, decomposition_entanglement(rho, best))
+    e = _pure_numbers(best.vectors, search.dims)
+    value = min(best_val, float(best.weights.weights @ e))
+    certified = value <= SEP_THRESHOLD and np.all(e <= CERT_SCALE * math.sqrt(SEP_THRESHOLD))
     return MixedResult(value=value, best=best, converged=converged or reached_floor,
                        evaluations=search.evaluations,
-                       certificate=_certificate(rho, value, best, opts.sep_threshold))
-
-
-def _certificate(rho: DensityState, value: float, best: PureDecomposition,
-                 sep_threshold: float) -> Optional[PureDecomposition]:
-    """``best`` if value <= sep_threshold and each vector has e <= CERT_SCALE * sqrt(it)."""
-    if value > sep_threshold or np.any(_pure_numbers(best.vectors, rho.factor_dims)
-                                       > CERT_SCALE * math.sqrt(sep_threshold)):
-        return None
-    return best
+                       certificate=best if certified else None)
 
 
 def separability_certificate(
@@ -372,8 +367,8 @@ def separability_certificate(
     """Decomposition witnessing separability, when the search finds one.
 
     Runs a full search and returns its ``certificate``: the best decomposition
-    if its value is at most ``sep_threshold`` and every vector in it has pure
-    entanglement number at most CERT_SCALE * sqrt(sep_threshold).  Returning
+    if its value is at most ``SEP_THRESHOLD`` and every vector in it has pure
+    entanglement number at most CERT_SCALE * sqrt(SEP_THRESHOLD).  Returning
     None proves nothing: the search may simply have missed a good decomposition.
     """
     return entanglement_number_mixed(rho, opts).certificate

@@ -21,13 +21,15 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNIT_TOL = 1e-10
+# variance_zero_witness treats a variance at most VARIANCE_TOL as zero.
+VARIANCE_TOL = 1e-10
 # Eigenvalue gap below which two eigenvalues are treated as a degenerate cluster
 # when fixing a deterministic output order.
 EIGEN_TIE_TOL = 1e-12
 
 
 def _as_complex_matrix(raw) -> np.ndarray:
-    m = np.asarray(raw, dtype=complex)
+    m = np.array(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -57,7 +59,7 @@ class VectorState:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vec, dtype=complex).reshape(-1)
+        v = np.array(self.vec, dtype=complex).reshape(-1)
         if v.size == 0:
             raise DimensionMismatch("empty state vector")
         if not np.isfinite(v).all():
@@ -161,28 +163,28 @@ def variance(rho: DensityState, a: Operator) -> float:
     return max(raw, 0.0)
 
 
-def variance_zero_witness(rho: DensityState, a: Operator, tol: float = 1e-10) -> Optional[complex]:
+def variance_zero_witness(rho: DensityState, a: Operator) -> Optional[complex]:
     """Constant c with A rho^(1/2) = c rho^(1/2), when the variance vanishes.
 
-    Returns c = tr(rho A) if ``variance(rho, a) <= tol`` and the operator
-    identity holds within sqrt(tol) at operator scale; returns None when the
-    variance is above tol.
+    Returns c = tr(rho A) if ``variance(rho, a) <= VARIANCE_TOL`` and the
+    operator identity holds within sqrt(VARIANCE_TOL) at operator scale;
+    returns None when the variance is above VARIANCE_TOL.
     """
     _check_dims(rho, a)
-    if variance(rho, a) > tol:
+    if variance(rho, a) > VARIANCE_TOL:
         return None
     c = expectation(rho, a)
     s = psd_sqrt(rho).mat
     resid = float(np.linalg.norm(a.mat @ s - c * s))
     scale = 1.0 + hs_norm(a)
-    if resid > math.sqrt(max(tol, 0.0)) * scale + 1e-9:
+    if resid > math.sqrt(VARIANCE_TOL) * scale + 1e-9:
         raise InvariantViolation(
             f"witness residual {resid:.3e} inconsistent with vanishing variance"
         )
     return c
 
 
-def hermitian_eigen(a: Operator, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(a: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator with a deterministic output order.
 
     Returns ``(values, vectors)`` with values descending and ``vectors[:, k]``
@@ -192,7 +194,7 @@ def hermitian_eigen(a: Operator, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
     """
     m = a.mat
     scale = max(1.0, hs_norm(a))
-    if np.max(np.abs(m - m.conj().T)) > tol * scale:
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
         raise InvariantViolation("operator is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     w = w[::-1].copy()
@@ -224,10 +226,17 @@ def psd_sqrt(rho: DensityState) -> Operator:
     return Operator((s + s.conj().T) / 2.0)
 
 
-def random_operator(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Operator:
-    """Complex Gaussian matrix; entries have standard deviation ``scale``."""
+def random_operator(dim: int, rng: np.random.Generator) -> Operator:
+    """Complex Gaussian matrix; entries have standard deviation 1."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator(scale * z / math.sqrt(2.0))
+    return Operator(z / math.sqrt(2.0))
+
+
+def _qr_isometry(z: np.ndarray) -> np.ndarray:
+    """Q factor of z with the phases of diag(R) fixed to 1, so the factor is unique."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d.conj() / np.abs(d))
 
 
 def random_vector_state(dim: int, rng: np.random.Generator) -> VectorState:

@@ -106,9 +106,7 @@ def decode_density(obj: Any, factor_dims: tuple[int, int] | None = None) -> Dens
 
 
 def decode_context(obj: Any) -> Context:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("expected an array of basis vectors")
-    return context_from_rows(np.stack([decode_vector(v) for v in obj]))
+    return context_from_rows(decode_matrix(obj))
 
 
 def encode_context(ctx: Context) -> list:
@@ -163,15 +161,11 @@ def decode_decomposition(obj: Any) -> PureDecomposition:
         weights, vectors = obj["weights"], obj["vectors"]
     except KeyError as exc:
         raise ParseError(f"missing decomposition field: {exc}") from exc
-    return PureDecomposition(
-        decode_prob_measure(weights), np.stack([decode_vector(v) for v in vectors])
-    )
+    return PureDecomposition(decode_prob_measure(weights), decode_matrix(vectors))
 
 
-# one checked converter per OptimizerOptions field, from its default; ``m``
-# (default None) takes an int or null
-_OPT_FIELDS = {f.name: _require_number if isinstance(f.default, float) else _require_int
-               for f in dataclasses.fields(OptimizerOptions)}
+# every OptimizerOptions field is an integer; ``m`` (default None) also takes null
+_OPT_FIELDS = {f.name for f in dataclasses.fields(OptimizerOptions)}
 
 
 def decode_optimizer_options(obj: Any) -> OptimizerOptions:
@@ -181,10 +175,7 @@ def decode_optimizer_options(obj: Any) -> OptimizerOptions:
     for key, value in obj.items():
         if key not in _OPT_FIELDS:
             raise ParseError(f"unknown optimizer option {key!r}")
-        if key == "m" and value is None:
-            kwargs[key] = None
-        else:
-            kwargs[key] = _OPT_FIELDS[key](value)
+        kwargs[key] = None if key == "m" and value is None else _require_int(value)
     return OptimizerOptions(**kwargs)
 
 

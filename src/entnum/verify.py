@@ -388,7 +388,7 @@ def _check_thm21(seed: int) -> list[VerifyRow]:
         herm = operators.Operator((h.mat + h.mat.conj().T) / 2)
         w, vecs = operators.hermitian_eigen(herm)
         phi = operators.VectorState(vecs[:, 0])
-        c = operators.variance_zero_witness(operators.pure_state(phi), herm, tol=1e-10)
+        c = operators.variance_zero_witness(operators.pure_state(phi), herm)
         worst_witness = max(worst_witness, abs(c - w[0]))
     return [
         _row("thm21", "variance formulas agree (100 draws)", 0.0, worst_formula, 1e-10,

@@ -90,6 +90,13 @@ class TestClassical:
         code, _, _ = run(capsys, ["classical", "/nonexistent/measure.json"])
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        path.write_bytes(b"[0.5, 0.5\xff]")
+        code, _, err = run(capsys, ["classical", str(path)])
+        assert code == 2
+        assert err.startswith("parse error:")
+
 
 class TestSchmidt:
     def test_bell_state(self, tmp_path, capsys):
@@ -151,6 +158,13 @@ class TestContextCoeff:
         ctx_path = write(tmp_path, "ctx.json", cmat(np.eye(2)))
         code, _, _ = run(capsys, ["context-coeff", op_path, ctx_path])
         assert code == 4
+
+    def test_ragged_context_exits_2(self, tmp_path, capsys):
+        op_path = write(tmp_path, "a.json", cmat(np.eye(2)))
+        ctx_path = write(tmp_path, "ctx.json", [cvec([1, 0]), cvec([0])])
+        code, _, err = run(capsys, ["context-coeff", op_path, ctx_path])
+        assert code == 2
+        assert err.startswith("parse error:")
 
     def test_bad_context_exits_3(self, tmp_path, capsys):
         op_path = write(tmp_path, "a.json", cmat(np.eye(2)))

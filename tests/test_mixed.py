@@ -114,6 +114,14 @@ class TestDecompositionFromParam:
         with pytest.raises(InvariantViolation):
             mx.DecompositionParam(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    def test_rejects_nan_entries(self):
+        # a NaN makes every norm and Gram deviation NaN, which no "> tol" test catches
+        nan_row = np.array([[np.nan, 0.0]])
+        with pytest.raises(InvariantViolation):
+            mx.PureDecomposition(ProbMeasure(np.ones(1)), nan_row)
+        with pytest.raises(InvariantViolation):
+            mx.DecompositionParam(np.vstack([nan_row, [0.0, 1.0]]))
+
 
 class TestDecompositionEntanglement:
     def test_spectral_value_of_demo_state(self):
@@ -290,7 +298,7 @@ class TestMixedOptimizer:
         result = mx.entanglement_number_mixed(rho, FAST)
         # dominance holds up to the optimizer's early-stop floor; the supplied
         # decomposition here is already optimal (score ~ machine noise)
-        assert result.value <= mx.decomposition_entanglement(rho, supplied) + FAST.stop_at
+        assert result.value <= mx.decomposition_entanglement(rho, supplied) + mx.STOP_AT
 
     @pytest.mark.parametrize("name", ["werner0.8", "werner0.3", "wishart89", "products3"])
     def test_rank_three_and_four_reach_exact_value(self, name):
@@ -374,7 +382,7 @@ class TestMixedOptimizer:
         )
         assert long_run.converged
         short_run = mx.entanglement_number_mixed(
-            bell, mx.OptimizerOptions(restarts=2, seed=0, patience=15)
+            bell, mx.OptimizerOptions(restarts=2, seed=0)
         )
         assert not short_run.converged
 

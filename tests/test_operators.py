@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from entnum import bipartite as bp
+from entnum import mixed as mx
 from entnum import operators as op
 from entnum.errors import DimensionMismatch, InvariantViolation
+from entnum.measures import ProbMeasure
 
 
 def mat(rows):
@@ -233,3 +236,27 @@ class TestStateValidation:
     def test_factor_dims_must_factor(self):
         with pytest.raises(DimensionMismatch):
             op.DensityState(np.eye(4) / 4, factor_dims=(2, 3))
+
+
+# (constructor from a complex array, stored array of the value, a valid input)
+VALUE_TYPES = {
+    "Operator": (op.Operator, lambda v: v.mat, np.eye(2)),
+    "DensityState": (op.DensityState, lambda v: v.mat, np.eye(2) / 2),
+    "VectorState": (op.VectorState, lambda v: v.vec, np.array([1.0, 0.0])),
+    "BipartiteVectorState": (bp.BipartiteVectorState, lambda v: v.coeff,
+                             np.array([[1.0, 0.0], [0.0, 0.0]])),
+    "PureDecomposition": (lambda a: mx.PureDecomposition(ProbMeasure(np.ones(1)), a),
+                          lambda v: v.vectors, np.array([[1.0, 0.0]])),
+    "DecompositionParam": (mx.DecompositionParam, lambda v: v.matrix, np.eye(2)),
+}
+
+
+class TestValueTypesOwnTheirArrays:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_caller_array_stays_writeable_and_unshared(self, name):
+        build, stored, valid = VALUE_TYPES[name]
+        a = valid.astype(complex)
+        value = build(a)
+        assert a.flags.writeable
+        assert not np.shares_memory(stored(value), a)
+        assert not stored(value).flags.writeable
