@@ -18,10 +18,11 @@ isometries (Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)):
 Polak-Ribiere+ directions from the analytic gradient, a QR retraction and Armijo
 backtracking.  The kink of sqrt at c = 0 is smoothed by eps, stepped down
 through ``SMOOTHING``; only the descent sees the smoothed value, and every value
-reported is the unsmoothed one.  Terms are scored through the 2x2 minors of
-their coefficient matrices (``bipartite._cross_terms``): no SVD, and no
-cancellation near product vectors.  For a fixed seed, values and evaluation
-counts differ from the earlier Nelder-Mead versions; they stay deterministic.
+reported is the unsmoothed one.  A stage ends when it stalls or when no step
+that passes the Armijo test lowers the smoothed value by more than its rounding
+error (``ROUNDING``); a pure state stops after restart 0.  Terms are scored
+through the 2x2 minors of their coefficient matrices (``bipartite._cross_terms``):
+no SVD, and no cancellation near product vectors.
 
 ``MixedResult.certificate`` is the best decomposition when it passes the
 certificate test; ``separability_certificate`` runs a full search of its own.
@@ -65,18 +66,18 @@ CERT_SCALE = 1.5
 # orders below SEP_THRESHOLD, so early stops never affect certificate decisions.
 STOP_AT = 1e-9
 # The search has converged when the best value fell by less than STAGNATION_TOL
-# over the trailing PATIENCE descents (or reached STOP_AT).
+# over the trailing PATIENCE descents, reached STOP_AT, or the state is pure.
 STAGNATION_TOL, PATIENCE = 1e-8, 15
 # Descents from the kicked best isometry after the restarts.
 POLISH_ROUNDS = 2
-# A smoothing stage ends when the Riemannian gradient norm is at most GRAD_TOL, when
-# the value fell by less than STALL_DROP (relative) in STALL_ITERS iterations, or when
-# Armijo backtracking fails MAX_HALVINGS times.  KICK sizes each polish round's kick.
+# A decrease of the smoothed objective f below ROUNDING * f is rounding noise: a
+# smoothing stage ends when no step predicted to beat it passes the Armijo test, or
+# when the value fell by less than STALL_DROP (relative) in STALL_ITERS iterations.
 SMOOTHING = (1e-2, 1e-4, 1e-6, 1e-8)
-GRAD_TOL = 1e-10
+ROUNDING = 64 * np.finfo(float).eps
 STALL_ITERS, STALL_DROP = 30, 1e-3
-ARMIJO, MAX_HALVINGS = 1e-4, 50
-KICK = 1e-3
+ARMIJO = 1e-4
+KICK = 1e-3  # size of each polish round's kick
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,12 +252,12 @@ class _DecompositionSearch:
         for eps in SMOOTHING:
             f, xi = _smoothed(c, eps), self.gradient(v, w, c, eps)
             d, trail = -xi, [value]
-            while iters < max_iters and value > stop_at and np.linalg.norm(xi) > GRAD_TOL:
+            while iters < max_iters and value > stop_at:
                 slope = np.vdot(xi, d).real
                 if slope >= 0.0:  # not a descent direction: restart from steepest descent
                     d, slope = -xi, -np.vdot(xi, xi).real
-                t = 2.0 * step
-                for _ in range(MAX_HALVINGS):  # Armijo backtracking
+                noise, t = ROUNDING * f, 2.0 * step
+                while -t * slope > noise:  # Armijo backtracking; a NaN ends the stage
                     v1 = _qr_isometry(v + t * d)
                     w1, c1 = self.terms(v1)
                     f1 = _smoothed(c1, eps)
@@ -301,19 +302,18 @@ def entanglement_number_mixed(
     zero: an r-term search.  Later restarts descend from seeded random m x r
     isometries.  Each of the ``POLISH_ROUNDS`` descends again from the best
     isometry after a random kick of size ``KICK``, so rows left at zero can
-    join in.  Results are deterministic for a fixed seed and restart count.
+    join in.  A pure state stops after restart 0, which is exact.  Results are
+    deterministic for a fixed seed and restart count.
 
     ``converged`` reports stagnation of the best value over the trailing
-    ``PATIENCE`` descents (or hitting ``STOP_AT``); it is a heuristic, not a
-    proof that the infimum was found.
+    ``PATIENCE`` descents (or hitting ``STOP_AT``, or a pure state); it is a
+    heuristic, not a proof that the infimum was found.
     """
     if opts.restarts < 1:
         raise InvariantViolation("need at least one restart")
-    search_m = opts.m
     spectral = spectral_pure_decomposition(rho)
     r = len(spectral)
-    if search_m is None:
-        search_m = min(r * r, max(16, 2 * r))
+    search_m = min(r * r, max(16, 2 * r)) if opts.m is None else opts.m
     if search_m < r:
         raise DimensionMismatch(f"m={search_m} is below the rank {r}")
     search = _DecompositionSearch(rho, spectral)
@@ -325,6 +325,8 @@ def entanglement_number_mixed(
     best_v = np.eye(search_m, r, dtype=complex)
     best_val = search.objective(best_v)
     history = [best_val]
+    # every decomposition of a pure state is that state: restart 0 is the answer
+    restarts, polish_rounds = (opts.restarts, POLISH_ROUNDS) if r > 1 else (1, 0)
 
     def run_descent(v0: np.ndarray) -> None:
         nonlocal best_val, best_v
@@ -333,30 +335,27 @@ def entanglement_number_mixed(
             best_val, best_v = val, v
         history.append(best_val)
 
-    for k in range(1, opts.restarts):
+    for k in range(1, restarts):
         if best_val <= STOP_AT:
             break
         live = r if k == 1 else search_m
         run_descent(np.vstack([_qr_isometry(gaussian(live)),
                                np.zeros((search_m - live, r), dtype=complex)]))
 
-    for _ in range(POLISH_ROUNDS):
+    for _ in range(polish_rounds):
         if best_val <= STOP_AT:
             break
         run_descent(_qr_isometry(best_v + KICK * gaussian(search_m)))
 
-    reached_floor = best_val <= STOP_AT
-    if len(history) > PATIENCE:
-        converged = (history[-1 - PATIENCE] - history[-1]) < STAGNATION_TOL
-    else:
-        converged = reached_floor
+    converged = r == 1 or best_val <= STOP_AT or (
+        len(history) > PATIENCE and history[-1 - PATIENCE] - history[-1] < STAGNATION_TOL)
 
     best = _decompose(rho, spectral, DecompositionParam(best_v))
     # report the decomposition's own score so value and witness always agree
     e = _pure_numbers(best.vectors, search.dims)
     value = min(best_val, float(best.weights.weights @ e))
     certified = value <= SEP_THRESHOLD and np.all(e <= CERT_SCALE * math.sqrt(SEP_THRESHOLD))
-    return MixedResult(value=value, best=best, converged=converged or reached_floor,
+    return MixedResult(value=value, best=best, converged=converged,
                        evaluations=search.evaluations,
                        certificate=best if certified else None)
 

@@ -213,6 +213,19 @@ class TestMixed:
         assert "optimized_value = 0.707106781186" in out
 
     def test_require_converged_budget_exit(self, tmp_path, capsys):
+        # 0.7 Bell + 0.3 |01>: 4 restarts leave too short a history to show stagnation
+        vec = np.zeros(4)
+        vec[0] = vec[3] = 2**-0.5
+        e01 = np.eye(4)[1]
+        path = write(tmp_path, "rho.json", cmat(0.7 * np.outer(vec, vec) + 0.3 * np.outer(e01, e01)))
+        code, _, _ = run(
+            capsys,
+            ["mixed", path, "--dims", "2", "2", "--restarts", "4", "--require-converged"],
+        )
+        assert code == 5
+
+    def test_require_converged_pure_state_exits_0(self, tmp_path, capsys):
+        # a pure state is its only decomposition, so any restart budget converges
         vec = np.zeros(4)
         vec[0] = vec[3] = 2**-0.5
         path = write(tmp_path, "rho.json", cmat(np.outer(vec, vec)))
@@ -220,7 +233,7 @@ class TestMixed:
             capsys,
             ["mixed", path, "--dims", "2", "2", "--restarts", "2", "--require-converged"],
         )
-        assert code == 5
+        assert code == 0
 
     def test_non_density_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "rho.json", cmat(np.eye(4)))

@@ -169,6 +169,13 @@ class TestDecompositionEntanglement:
             mx.decomposition_entanglement(rho, d)
 
 
+def bell_with_01():
+    """0.7 |Phi+><Phi+| + 0.3 |01><01|, an entangled rank-2 state."""
+    e01 = np.array([0, 1, 0, 0], dtype=complex)
+    bell = bell_projector().mat
+    return op.DensityState(0.7 * bell + 0.3 * np.outer(e01, e01), factor_dims=(2, 2))
+
+
 def wootters_e(rho):
     """Two-qubit entanglement number: concurrence / sqrt 2 (Wootters, PRL 80, 2245 (1998))."""
     yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
@@ -376,15 +383,50 @@ class TestMixedOptimizer:
             mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, m=2))
 
     def test_converged_flags(self):
-        bell = bell_projector()
+        rho = bell_with_01()
         long_run = mx.entanglement_number_mixed(
-            bell, mx.OptimizerOptions(restarts=40, seed=0)
+            rho, mx.OptimizerOptions(restarts=40, seed=0)
         )
         assert long_run.converged
         short_run = mx.entanglement_number_mixed(
-            bell, mx.OptimizerOptions(restarts=2, seed=0)
+            rho, mx.OptimizerOptions(restarts=2, seed=0)
         )
         assert not short_run.converged
+
+    def test_pure_state_skips_the_search(self):
+        result = mx.entanglement_number_mixed(bell_projector(),
+                                              mx.OptimizerOptions(restarts=200, seed=0))
+        assert result.evaluations == 1
+        assert abs(result.value - SQRT_HALF) <= 1e-15
+        assert result.converged and result.certificate is None
+        product = product_vector(np.random.default_rng(99))
+        rho = op.DensityState(np.outer(product, product.conj()), factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, seed=0))
+        assert result.evaluations == 1 and result.converged
+        assert result.certificate is not None
+
+    def test_converged_descents_end_at_the_rounding_floor(self):
+        # a converged stage ends once no step could lower the value beyond its rounding
+        # error, so no evaluations are spent on rounding noise
+        rho = op.DensityState(werner(0.8), factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(
+            rho, mx.OptimizerOptions(restarts=2, max_iters=500, seed=1))
+        assert result.value == pytest.approx((3 * 0.8 - 1) / 2 / math.sqrt(2), abs=1e-12)
+        assert result.evaluations <= 400
+
+    def test_nan_descent_ends(self):
+        rng = np.random.default_rng(94)
+        _, search, v = search_and_start((2, 2), rng)
+        finite_rows = search.rows
+        search.rows = np.full_like(finite_rows, np.nan)
+        with np.errstate(invalid="ignore"):
+            search.descend(v, 500, 0.0)
+        assert search.evaluations <= 2
+        # a finite value with a NaN gradient: the floor test itself must end each stage
+        search.rows, search.evaluations = finite_rows, 0
+        search.gradient = lambda v, w, c, eps: np.full_like(v, np.nan)
+        search.descend(v, 500, 0.0)
+        assert search.evaluations <= 2
 
 
 class TestSeparabilityCertificate:
@@ -449,11 +491,6 @@ class TestResultCertificate:
         assert cert is None and again is None
 
     def test_entangled_rank2_certificate_absent(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = SQRT_HALF
-        e01 = np.array([0, 1, 0, 0], dtype=complex)
-        rho = op.DensityState(0.7 * np.outer(bell, bell.conj()) + 0.3 * np.outer(e01, e01),
-                              factor_dims=(2, 2))
-        cert, again = self.certificates(rho, mx.OptimizerOptions(restarts=3, max_iters=400,
-                                                                 seed=0))
+        cert, again = self.certificates(bell_with_01(), mx.OptimizerOptions(restarts=3,
+                                                                            max_iters=400, seed=0))
         assert cert is None and again is None

@@ -107,8 +107,8 @@ class TestDomainValues:
 
     @pytest.mark.parametrize("obj", [
         {"restarts": "x"}, {"restarts": None}, {"restarts": 2.7}, {"restarts": True},
-        {"seed": float("inf")}, {"m": 2.5}, {"m": "4"}, {"sep_threshold": "1e-3"},
-        {"stop_at": None}, {"stagnation_tol": False},
+        {"seed": float("inf")}, {"m": 2.5}, {"m": "4"}, {"max_iters": "500"},
+        {"max_iters": None}, {"max_iters": False},
     ])
     def test_rejects_option_of_wrong_type(self, obj):
         with pytest.raises(ParseError):
