@@ -27,7 +27,7 @@ import numpy as np
 from .contexts import Context, context_coefficient, context_from_rows, random_context
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure, entanglement_number
-from .operators import DensityState, Operator, hs_norm
+from .operators import DensityState, Operator, _fix_phases, hs_norm
 
 COEFF_UNIT_TOL = 1e-10
 # is_factorized_state accepts a largest Schmidt weight of at least 1 - FACTORIZED_TOL.
@@ -139,13 +139,7 @@ def schmidt_decompose(psi: BipartiteVectorState) -> Entanglement:
     c = np.zeros((n, n), dtype=complex)
     c[:da, :db] = psi.coeff
     u, s, vh = np.linalg.svd(c)
-    for k in range(n):
-        j = int(np.argmax(np.abs(u[:, k])))
-        ph = u[j, k]
-        if abs(ph) > 0:
-            ph = ph / abs(ph)
-            u[:, k] *= ph.conjugate()
-            vh[k, :] *= ph
+    vh *= _fix_phases(u).conj()[:, None]
     lam = ProbMeasure(np.maximum(s, 0.0) ** 2 / float(np.sum(s**2)))
     return Entanglement(lam, context_from_rows(u.T), context_from_rows(vh))
 
@@ -193,36 +187,28 @@ def is_factorized_state(psi: BipartiteVectorState) -> bool:
     return bool(s[0] ** 2 >= 1.0 - FACTORIZED_TOL)
 
 
+def _product_terms(e: Entanglement) -> np.ndarray:
+    """(n, n^2) array T whose row i is phi_i (x) psi_i."""
+    return np.kron(e.ctx_a.matrix, e.ctx_b.matrix)[:: e.dim + 1]
+
+
 def separable_state(e: Entanglement) -> DensityState:
-    """sum_i lam_i P_{phi_i} (x) P_{psi_i}: the diagonal part of the projector of psi."""
-    n = e.dim
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i, w in enumerate(e.lam.weights):
-        if w == 0.0:
-            continue
-        t = np.kron(e.ctx_a.vector(i), e.ctx_b.vector(i))
-        out += w * np.outer(t, t.conj())
-    return DensityState(out, factor_dims=(n, n))
+    """sum_i lam_i P_{phi_i} (x) P_{psi_i} = T^T diag(lam) conj(T): the diagonal part of P_psi."""
+    t = _product_terms(e)
+    return DensityState(t.T @ (e.lam.weights[:, None] * t.conj()), factor_dims=(e.dim, e.dim))
 
 
 def entanglement_operator(e: Entanglement) -> Operator:
-    """sum_{i != j} sqrt(lam_i lam_j) |phi_i (x) psi_i><phi_j (x) psi_j|.
+    """sum_{i != j} sqrt(lam_i lam_j) |phi_i (x) psi_i><phi_j (x) psi_j| = T^T C conj(T).
 
     Hermitian and traceless; adding it to the separable part recovers the
     projector onto the generated vector state.
     """
-    n = e.dim
+    t = _product_terms(e)
     amps = np.sqrt(e.lam.weights)
-    terms = [np.kron(e.ctx_a.vector(i), e.ctx_b.vector(i)) for i in range(n)]
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        if amps[i] == 0.0:
-            continue
-        for j in range(n):
-            if i == j or amps[j] == 0.0:
-                continue
-            out += amps[i] * amps[j] * np.outer(terms[i], terms[j].conj())
-    return Operator(out)
+    c = np.outer(amps, amps)
+    np.fill_diagonal(c, 0.0)
+    return Operator(t.T @ c @ t.conj())
 
 
 class EntanglementTriple(NamedTuple):
@@ -285,22 +271,12 @@ def symmetric_antisymmetric_basis(ctx: Context) -> Context:
     remaining n(n-1)/2 antisymmetric.
     """
     n = ctx.dim
-    rows = []
-    for i in range(n):
-        rows.append(np.kron(ctx.vector(i), ctx.vector(i)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(
-                (np.kron(ctx.vector(i), ctx.vector(j)) + np.kron(ctx.vector(j), ctx.vector(i)))
-                / math.sqrt(2.0)
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(
-                (np.kron(ctx.vector(i), ctx.vector(j)) - np.kron(ctx.vector(j), ctx.vector(i)))
-                / math.sqrt(2.0)
-            )
-    return context_from_rows(np.stack(rows))
+    pairs = np.kron(ctx.matrix, ctx.matrix).reshape(n, n, -1)  # pairs[i, j] = phi_i (x) phi_j
+    i, j = np.triu_indices(n, k=1)
+    diag = pairs[np.arange(n), np.arange(n)]
+    sym = (pairs[i, j] + pairs[j, i]) / math.sqrt(2.0)
+    anti = (pairs[i, j] - pairs[j, i]) / math.sqrt(2.0)
+    return context_from_rows(np.vstack([diag, sym, anti]))
 
 
 def random_entanglement(n: int, rng: np.random.Generator) -> Entanglement:

@@ -328,30 +328,26 @@ def entanglement_number_mixed(
     # every decomposition of a pure state is that state: restart 0 is the answer
     restarts, polish_rounds = (opts.restarts, POLISH_ROUNDS) if r > 1 else (1, 0)
 
-    def run_descent(v0: np.ndarray) -> None:
-        nonlocal best_val, best_v
+    for k in range(1, restarts + polish_rounds):
+        if best_val <= STOP_AT:
+            break
+        if k < restarts:
+            live = r if k == 1 else search_m
+            v0 = np.vstack([_qr_isometry(gaussian(live)),
+                            np.zeros((search_m - live, r), dtype=complex)])
+        else:  # polish: kick the best isometry
+            v0 = _qr_isometry(best_v + KICK * gaussian(search_m))
         val, v = search.descend(v0, opts.max_iters, STOP_AT)
         if val < best_val:
             best_val, best_v = val, v
         history.append(best_val)
 
-    for k in range(1, restarts):
-        if best_val <= STOP_AT:
-            break
-        live = r if k == 1 else search_m
-        run_descent(np.vstack([_qr_isometry(gaussian(live)),
-                               np.zeros((search_m - live, r), dtype=complex)]))
-
-    for _ in range(polish_rounds):
-        if best_val <= STOP_AT:
-            break
-        run_descent(_qr_isometry(best_v + KICK * gaussian(search_m)))
-
     converged = r == 1 or best_val <= STOP_AT or (
         len(history) > PATIENCE and history[-1 - PATIENCE] - history[-1] < STAGNATION_TOL)
 
     best = _decompose(rho, spectral, DecompositionParam(best_v))
-    # report the decomposition's own score so value and witness always agree
+    # the lower of the descent's score and the rebuilt decomposition's own score;
+    # the two differ by rounding only, so value and witness agree to about 1e-15
     e = _pure_numbers(best.vectors, search.dims)
     value = min(best_val, float(best.weights.weights @ e))
     certified = value <= SEP_THRESHOLD and np.all(e <= CERT_SCALE * math.sqrt(SEP_THRESHOLD))

@@ -208,14 +208,22 @@ def hermitian_eigen(a: Operator) -> tuple[np.ndarray, np.ndarray]:
             cluster = sorted(range(start, k), key=lambda i: (dominant[i], i))
             order.extend(cluster)
             start = k
-    w = w[order]
     v = v[:, order]
-    for k in range(w.size):
-        j = int(np.argmax(np.abs(v[:, k])))
-        ph = v[j, k]
-        if abs(ph) > 0:
-            v[:, k] *= ph.conjugate() / abs(ph)
-    return w, v
+    _fix_phases(v)
+    return w[order], v
+
+
+def _fix_phases(v: np.ndarray) -> np.ndarray:
+    """Make each column's largest-magnitude entry real positive, in place; return the factors.
+
+    Column k is multiplied by conj(z) / |z| (1 for a zero column), z its largest
+    entry.  Each factor is a scalar division: the array division rounds
+    differently in the last bit.
+    """
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    factors = np.array([z.conjugate() / abs(z) if abs(z) > 0 else 1.0 for z in top])
+    v *= factors
+    return factors
 
 
 def psd_sqrt(rho: DensityState) -> Operator:

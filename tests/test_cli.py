@@ -280,6 +280,19 @@ class TestVerifyPaper:
         assert code == 1
         assert "FAIL" in out
 
+    def test_checks_registered_in_table_order(self):
+        assert list(verify.CHECKS) == [
+            "example1", "example2", "example3", "example4", "example5", "example6",
+            "example7", "example8", "example9", "thm11", "thm12", "thm21", "thm23",
+            "thm24", "thm32", "thm33",
+        ]
+
+    def test_rows_carry_their_check_id(self):
+        for check_id, check in verify.CHECKS.items():
+            rows = check(0)
+            assert rows and all(isinstance(r, verify.VerifyRow) for r in rows)
+            assert {r.check_id for r in rows} == {check_id}
+
     def test_report_is_byte_stable(self, capsys):
         _, out1, _ = run(capsys, ["verify-paper", "--seed", "7", "--only", "thm24"])
         _, out2, _ = run(capsys, ["verify-paper", "--seed", "7", "--only", "thm24"])
