@@ -27,9 +27,9 @@ import numpy as np
 from .contexts import Context, context_coefficient, context_from_rows, random_context
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure, entanglement_number
-from .operators import DensityState, Operator, _fix_phases, hs_norm
+from .operators import (DensityState, Operator, _check_dims, _check_unit, _factor_dims, _fix_phases,
+                        _intake, hs_norm)
 
-COEFF_UNIT_TOL = 1e-10
 # is_factorized_state accepts a largest Schmidt weight of at least 1 - FACTORIZED_TOL.
 FACTORIZED_TOL = 1e-10
 
@@ -41,15 +41,8 @@ class BipartiteVectorState:
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeff, dtype=complex)
-        if c.ndim != 2 or c.size == 0:
-            raise DimensionMismatch(f"coefficient matrix must be 2-d, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise InvariantViolation("coefficients must be finite")
-        nrm = float(np.linalg.norm(c))
-        if abs(nrm - 1.0) > COEFF_UNIT_TOL:
-            raise InvariantViolation(f"coefficient matrix has norm {nrm!r}, expected 1")
-        c.setflags(write=False)
+        c = _intake(self.coeff, "a coefficient matrix")
+        _check_unit(c, "coefficient matrix")
         object.__setattr__(self, "coeff", c)
 
     @property
@@ -64,10 +57,7 @@ class BipartiteVectorState:
 
 def bipartite_from_vector(vec, dims: tuple[int, int]) -> BipartiteVectorState:
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    da, db = dims
-    if da < 1 or db < 1 or da * db != v.size:
-        raise DimensionMismatch(f"dims {dims} do not factor vector length {v.size}")
-    return BipartiteVectorState(v.reshape(da, db))
+    return BipartiteVectorState(v.reshape(_factor_dims(dims, v.size)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +73,7 @@ class Entanglement:
     ctx_b: Context
 
     def __post_init__(self):
-        if self.ctx_a.dim != self.ctx_b.dim:
-            raise DimensionMismatch(
-                f"factor contexts differ in dimension: {self.ctx_a.dim} vs {self.ctx_b.dim}"
-            )
+        _check_dims(self.ctx_a, self.ctx_b)
         n = self.ctx_a.dim
         w = self.lam.weights
         if len(w) > n:

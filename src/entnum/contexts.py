@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .operators import Operator, _as_complex_matrix, _qr_isometry, hermitian_eigen, hs_norm
+from .operators import Operator, _check_dims, _intake, _qr_isometry, hermitian_eigen, hs_norm
 
 ORTHO_TOL = 1e-10
 COMPLETE_TOL = 1e-9
@@ -35,9 +36,7 @@ class Context:
     matrix: np.ndarray
 
     def __post_init__(self):
-        # C order: a transposed view would otherwise keep its F order, and
-        # reductions over the rows would round differently
-        rows = _as_complex_matrix(np.ascontiguousarray(self.matrix, dtype=complex))
+        rows = _intake(self.matrix, "a square basis matrix", rule=operator.eq)
         eye = np.eye(rows.shape[0])
         if np.abs(rows.conj() @ rows.T - eye).max() > ORTHO_TOL:
             raise InvariantViolation("context basis is not orthonormal within tolerance")
@@ -78,11 +77,6 @@ def eigenvector_context(a: Operator) -> Context:
     return context_from_columns(v)
 
 
-def _check_op(a: Operator, ctx: Context) -> None:
-    if a.dim != ctx.dim:
-        raise DimensionMismatch(f"operator dim {a.dim} vs context dim {ctx.dim}")
-
-
 def context_coefficient(a: Operator, ctx: Context) -> float:
     """sqrt of the summed pure-state variances of A over the context basis.
 
@@ -90,7 +84,7 @@ def context_coefficient(a: Operator, ctx: Context) -> float:
     which equals the trace form exactly but stays accurate when A is close to
     measurable (the trace form bottoms out at sqrt of machine noise there).
     """
-    _check_op(a, ctx)
+    _check_dims(a, ctx)
     rows = ctx.matrix
     images = rows @ a.mat.T  # row i is A phi_i
     means = np.einsum("ij,ij->i", rows.conj(), images)
@@ -101,7 +95,7 @@ def context_coefficient(a: Operator, ctx: Context) -> float:
 
 def context_map(a: Operator, ctx: Context) -> Operator:
     """Diagonal part of A relative to the context: sum_i <phi_i, A phi_i> |phi_i><phi_i|."""
-    _check_op(a, ctx)
+    _check_dims(a, ctx)
     rows = ctx.matrix
     diag = np.einsum("ia,ab,ib->i", rows.conj(), a.mat, rows)
     return Operator((rows.T * diag) @ rows.conj())
@@ -119,9 +113,9 @@ def is_measurable(a: Operator, ctx: Context, tol: float = 1e-10) -> bool:
     checks it against the residual-norm criterion at the coarser scale
     tol * dim; disagreement would indicate a numerical inconsistency.
     """
-    _check_op(a, ctx)
-    if tol <= 0:
-        raise InvariantViolation("tolerance must be positive")
+    _check_dims(a, ctx)
+    if not 0.0 < tol < math.inf:
+        raise InvariantViolation(f"tolerance must be finite and positive, got {tol!r}")
     worst = 0.0
     for row in ctx.matrix:
         p = np.outer(row, row.conj())

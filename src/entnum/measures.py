@@ -82,15 +82,19 @@ def entanglement_index(u: ProbMeasure) -> int:
 
 
 def _e_kernel(w: np.ndarray) -> float:
-    """sqrt(sum w (1 - w)) over every entry of w, clamped at 0."""
-    return math.sqrt(max(float(np.sum(w * (1.0 - w))), 0.0))
+    """sqrt(sum_i w_i sum_{j != i} w_j) over every entry of w; does not assume sum w = 1."""
+    w = w.reshape(-1)
+    others = np.zeros(w.size)  # sum_{j != i} w_j as an exclusive prefix plus suffix sum
+    others[1:] = np.cumsum(w[:-1])
+    others[:-1] += np.cumsum(w[:0:-1])[::-1]
+    return math.sqrt(float(np.sum(w * others)))
 
 
 def entanglement_number(u: ProbMeasure) -> float:
     """e(u) = sqrt(1 - sum u_i^2), in [0, 1).
 
-    Evaluated as sqrt(sum_i u_i (1 - u_i)), a sum of nonnegative terms, which
-    is equal and stays relatively accurate near point measures where the
+    Evaluated as sqrt(sum_i u_i sum_{j != i} u_j), a sum of nonnegative terms,
+    which is equal and stays relatively accurate near point measures where the
     1 - sum u_i^2 form cancels catastrophically.
     """
     return _e_kernel(u.weights)
@@ -143,8 +147,8 @@ def marginals(u: ProductMeasure) -> tuple[ProbMeasure, ProbMeasure]:
 
 def is_factorized(u: ProductMeasure, tol: float = 1e-10) -> bool:
     """True when u equals the product of its own marginals, entrywise within tol."""
-    if tol <= 0:
-        raise InvariantViolation("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InvariantViolation(f"tolerance must be finite and positive, got {tol!r}")
     row = u.weights.sum(axis=1)
     col = u.weights.sum(axis=0)
     return bool(np.max(np.abs(u.weights - np.outer(row, col))) <= tol)

@@ -31,6 +31,7 @@ certificate test; ``separability_certificate`` runs a full search of its own.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure
-from .operators import DensityState, hermitian_eigen, Operator, _qr_isometry
+from .operators import DensityState, hermitian_eigen, Operator, _check_unit, _intake, _qr_isometry
 from .bipartite import _cross_terms, _minor_positions, _pure_numbers
 
 
@@ -88,17 +89,10 @@ class PureDecomposition:
     vectors: np.ndarray  # shape (terms, dim), rows are unit vectors
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != len(self.weights):
-            raise DimensionMismatch(
-                f"expected {len(self.weights)} vectors, got array of shape {v.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise InvariantViolation("decomposition vectors must be finite")
-        norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise InvariantViolation("decomposition vectors must be unit norm")
-        v.setflags(write=False)
+        v = _intake(self.vectors, "a matrix of row vectors")
+        if v.shape[0] != len(self.weights):
+            raise DimensionMismatch(f"expected {len(self.weights)} vector rows, got {v.shape[0]}")
+        _check_unit(v, "each decomposition vector", axis=1)
         object.__setattr__(self, "vectors", v)
 
     def __len__(self) -> int:
@@ -120,15 +114,10 @@ class DecompositionParam:
     matrix: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.matrix, dtype=complex)
-        if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] == 0:
-            raise DimensionMismatch(f"isometry must be m x r with m >= r, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise InvariantViolation("isometry entries must be finite")
+        v = _intake(self.matrix, "an m x r isometry (m >= r)", rule=operator.ge)
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(v.shape[1]))) > ISOMETRY_TOL:
             raise InvariantViolation("parameter columns are not orthonormal")
-        v.setflags(write=False)
         object.__setattr__(self, "matrix", v)
 
     @property

@@ -10,6 +10,7 @@ test suite as a cross check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,14 +29,38 @@ VARIANCE_TOL = 1e-10
 EIGEN_TIE_TOL = 1e-12
 
 
-def _as_complex_matrix(raw) -> np.ndarray:
-    m = np.array(raw, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvariantViolation("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
+def _intake(raw, expected: str, ndim: int = 2, rule=None) -> np.ndarray:
+    """Private, C-ordered, read-only complex copy of ``raw``: the intake of every array value.
+
+    ``ndim`` 1 flattens the input.  The copy must be non-empty with ``ndim`` axes and,
+    when given, ``rule(rows, cols)`` true, such as ``operator.eq`` for a square matrix
+    (else DimensionMismatch, naming ``expected``); only then must its entries be
+    finite (else InvariantViolation).
+    """
+    a = np.array(raw, dtype=complex, order="C")
+    if ndim == 1:
+        a = a.reshape(-1)
+    if a.ndim != ndim or a.size == 0 or rule is not None and not rule(*a.shape):
+        raise DimensionMismatch(f"expected {expected}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvariantViolation(f"entries of {expected} must be finite")
+    a.setflags(write=False)
+    return a
+
+
+def _check_unit(a: np.ndarray, what: str, axis: Optional[int] = None) -> None:
+    """Raise InvariantViolation unless ``a`` (each row, for axis 1) has norm 1 within UNIT_TOL."""
+    off = abs(np.linalg.norm(a, axis=axis) - 1.0).max()
+    if off > UNIT_TOL:
+        raise InvariantViolation(f"{what} must have norm 1 within {UNIT_TOL}, is off by {off:.3e}")
+
+
+def _factor_dims(dims, dim: int) -> tuple[int, int]:
+    """``dims`` as a pair of ints: two positive integers, not bools, whose product is ``dim``."""
+    if len(dims) != 2 or any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1
+                             for d in dims) or dims[0] * dims[1] != dim:
+        raise DimensionMismatch(f"factor dims {tuple(dims)} do not factor dimension {dim}")
+    return int(dims[0]), int(dims[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +70,7 @@ class Operator:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _as_complex_matrix(self.mat))
+        object.__setattr__(self, "mat", _intake(self.mat, "a square matrix", rule=operator.eq))
 
     @property
     def dim(self) -> int:
@@ -59,15 +84,8 @@ class VectorState:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vec, dtype=complex).reshape(-1)
-        if v.size == 0:
-            raise DimensionMismatch("empty state vector")
-        if not np.isfinite(v).all():
-            raise InvariantViolation("state vector entries must be finite")
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > UNIT_TOL:
-            raise InvariantViolation(f"state vector has norm {nrm!r}, expected 1 within {UNIT_TOL}")
-        v.setflags(write=False)
+        v = _intake(self.vec, "a state vector", ndim=1)
+        _check_unit(v, "state vector")
         object.__setattr__(self, "vec", v)
 
     @property
@@ -88,7 +106,7 @@ class DensityState:
     factor_dims: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.mat)
+        m = _intake(self.mat, "a square matrix", rule=operator.eq)
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise InvariantViolation("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
@@ -99,12 +117,7 @@ class DensityState:
             raise InvariantViolation(f"density matrix has negative eigenvalue {evals.min():.3e}")
         object.__setattr__(self, "mat", m)
         if self.factor_dims is not None:
-            da, db = self.factor_dims
-            if da < 1 or db < 1 or da * db != m.shape[0]:
-                raise DimensionMismatch(
-                    f"factor dims {self.factor_dims} do not factor dimension {m.shape[0]}"
-                )
-            object.__setattr__(self, "factor_dims", (int(da), int(db)))
+            object.__setattr__(self, "factor_dims", _factor_dims(self.factor_dims, m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -120,7 +133,7 @@ def pure_state(phi: VectorState, factor_dims: Optional[tuple[int, int]] = None) 
     return DensityState(np.outer(phi.vec, phi.vec.conj()), factor_dims=factor_dims)
 
 
-def _check_dims(a: Operator | DensityState, b: Operator | DensityState) -> None:
+def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 

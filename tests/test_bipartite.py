@@ -449,3 +449,12 @@ class TestEntanglementValidation:
     def test_dims_must_factor_vector(self):
         with pytest.raises(DimensionMismatch):
             bp.bipartite_from_vector(np.array([1.0, 0, 0]), (2, 2))
+
+    @pytest.mark.parametrize("dims", [(2.5, 1.6), (True, 4), (0, 4)])
+    def test_dims_must_be_positive_integers(self, dims):
+        with pytest.raises(DimensionMismatch):
+            bp.bipartite_from_vector(np.array([1.0, 0, 0, 0]), dims)
+
+    def test_numpy_integer_dims(self):
+        psi = bp.bipartite_from_vector(np.array([1.0, 0, 0, 0]), (np.int64(2), np.int64(2)))
+        assert psi.dims == (2, 2)

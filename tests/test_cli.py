@@ -75,6 +75,13 @@ class TestClassical:
         assert code == 0
         assert "verdict = factorized" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_3(self, tmp_path, capsys, tol):
+        path = write(tmp_path, "u.json", [[0.5, 0.5]])
+        code, out, _ = run(capsys, ["classical", path, "--tol", tol])
+        assert code == 3
+        assert out == ""
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[0.5, 0.5")
@@ -158,6 +165,21 @@ class TestContextCoeff:
         ctx_path = write(tmp_path, "ctx.json", cmat(np.eye(2)))
         code, _, _ = run(capsys, ["context-coeff", op_path, ctx_path])
         assert code == 4
+
+    def test_nan_in_non_square_operator_exits_4(self, tmp_path, capsys):
+        op_path = write(tmp_path, "a.json", cmat([[np.nan, 0, 0], [0, 1, 0]]))
+        ctx_path = write(tmp_path, "ctx.json", cmat(np.eye(2)))
+        code, _, err = run(capsys, ["context-coeff", op_path, ctx_path])
+        assert code == 4
+        assert err.startswith("shape error:")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_3(self, tmp_path, capsys, tol):
+        op_path = write(tmp_path, "a.json", cmat([[3, 0], [0, 1]]))
+        ctx_path = write(tmp_path, "ctx.json", cmat(np.eye(2)))
+        code, out, _ = run(capsys, ["context-coeff", op_path, ctx_path, "--tol", tol])
+        assert code == 3
+        assert out == ""
 
     def test_ragged_context_exits_2(self, tmp_path, capsys):
         op_path = write(tmp_path, "a.json", cmat(np.eye(2)))

@@ -1,6 +1,7 @@
 """Classical probability measures: worked examples and seeded invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class TestEntanglementNumber:
             w = u.weights
             cross = math.sqrt(max(np.sum(np.outer(w, w)) - np.sum(w**2), 0.0))
             assert m.entanglement_number(u) == pytest.approx(cross, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "number,u",
+        [
+            (m.entanglement_number, meas(1 - 4.7e-15, 4.7e-15)),
+            (m.entanglement_number, meas(1 - 1e-10, 1e-10)),
+            (m.entanglement_number, meas(1 - 3e-12, 1e-12, 2e-12)),
+            (m.product_entanglement_number, pmeas([[1 - 3e-12, 1e-12], [2e-12, 0.0]])),
+        ],
+        ids=["two-atom-4.7e-15", "two-atom-1e-10", "three-atom", "product"],
+    )
+    def test_exact_on_stored_weights_near_point_measures(self, number, u):
+        # e(u)^2 = (sum w)^2 - sum w^2, evaluated exactly on the stored floats
+        w = [Fraction(float(x)) for x in u.weights.reshape(-1)]
+        exact = math.sqrt(sum(w) ** 2 - sum(x * x for x in w))
+        assert number(u) == pytest.approx(exact, rel=1e-14)
 
 
 class TestFlags:

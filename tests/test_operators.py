@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entnum import bipartite as bp
+from entnum import contexts as cx
 from entnum import mixed as mx
 from entnum import operators as op
 from entnum.errors import DimensionMismatch, InvariantViolation
@@ -237,6 +238,16 @@ class TestStateValidation:
         with pytest.raises(DimensionMismatch):
             op.DensityState(np.eye(4) / 4, factor_dims=(2, 3))
 
+    @pytest.mark.parametrize("dims", [(2.5, 1.6), (True, 4), (0, 4)])
+    def test_factor_dims_must_be_positive_integers(self, dims):
+        with pytest.raises(DimensionMismatch):
+            op.DensityState(np.eye(4) / 4, factor_dims=dims)
+
+    def test_numpy_integer_factor_dims_stored_as_ints(self):
+        rho = op.DensityState(np.eye(4) / 4, factor_dims=(np.int64(2), np.int32(2)))
+        assert rho.factor_dims == (2, 2)
+        assert all(type(d) is int for d in rho.factor_dims)
+
 
 # (constructor from a complex array, stored array of the value, a valid input)
 VALUE_TYPES = {
@@ -248,6 +259,7 @@ VALUE_TYPES = {
     "PureDecomposition": (lambda a: mx.PureDecomposition(ProbMeasure(np.ones(1)), a),
                           lambda v: v.vectors, np.array([[1.0, 0.0]])),
     "DecompositionParam": (mx.DecompositionParam, lambda v: v.matrix, np.eye(2)),
+    "Context": (cx.Context, lambda v: v.matrix, np.eye(2)),
 }
 
 
@@ -260,3 +272,17 @@ class TestValueTypesOwnTheirArrays:
         assert a.flags.writeable
         assert not np.shares_memory(stored(value), a)
         assert not stored(value).flags.writeable
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_shared_intake(self, name):
+        build, stored, valid = VALUE_TYPES[name]
+        for entry in (np.nan, np.inf):
+            bad = valid.astype(complex)
+            bad.flat[0] = entry
+            with pytest.raises(InvariantViolation):
+                build(bad)
+        with pytest.raises(DimensionMismatch):
+            build(valid[:0])
+        kept = stored(build(np.asfortranarray(valid.astype(complex))))
+        assert kept.flags.c_contiguous
+        assert not kept.flags.writeable
