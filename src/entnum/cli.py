@@ -96,7 +96,7 @@ def _load_json(path: str) -> tuple[object, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw), digest
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -105,6 +105,7 @@ def cmd_classical(args) -> tuple[Report, int]:
     u = serialize.decode_classical(obj)
     report = Report("classical", digest)
     tol = args.tol if args.tol is not None else 1e-10
+    operators._check_tol(tol)
     if isinstance(u, measures.ProbMeasure):
         sup = sorted(measures.support(u))
         report.add("support", "{" + ", ".join(map(str, sup)) + "}")

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .operators import Operator, _check_dims, _intake, _qr_isometry, hermitian_eigen, hs_norm
+from .operators import (Operator, _check_dims, _check_tol, _intake, _qr_isometry, hermitian_eigen,
+                        hs_norm)
 
 ORTHO_TOL = 1e-10
 COMPLETE_TOL = 1e-9
@@ -114,8 +115,7 @@ def is_measurable(a: Operator, ctx: Context, tol: float = 1e-10) -> bool:
     tol * dim; disagreement would indicate a numerical inconsistency.
     """
     _check_dims(a, ctx)
-    if not 0.0 < tol < math.inf:
-        raise InvariantViolation(f"tolerance must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     worst = 0.0
     for row in ctx.matrix:
         p = np.outer(row, row.conj())
@@ -138,23 +138,6 @@ def offdiag_uniform(ctx: Context, alpha: complex) -> Operator:
     total = rows.sum(axis=0)
     full = np.outer(total, total.conj())
     return Operator(alpha * (full - np.eye(ctx.dim)))
-
-
-# Unit-direction patterns for the eigenvalue -1 eigenvectors of the constant
-# off-diagonal operator, in the basis coordinates; normalized at use.
-_MINUS_ONE_PATTERNS: dict[int, tuple[tuple[int, ...], ...]] = {
-    2: ((1, -1),),
-    3: ((1, -1, 0), (1, 1, -2)),
-    4: ((1, -1, 0, 0), (0, 0, 1, -1), (1, 1, -1, -1)),
-    5: ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (1, 1, -1, -1, 0), (1, 1, 1, 1, -4)),
-    6: (
-        (1, -1, 0, 0, 0, 0),
-        (0, 0, 1, -1, 0, 0),
-        (0, 0, 0, 0, 1, -1),
-        (0, 0, 1, 1, -1, -1),
-        (2, 2, -1, -1, -1, -1),
-    ),
-}
 
 
 def _paired_difference_basis(n: int) -> list[np.ndarray]:
@@ -187,19 +170,13 @@ def offdiag_uniform_spectrum(n: int) -> list[tuple[float, np.ndarray]]:
 
     Returns ``[(n-1, psi), (-1, v_1), ..., (-1, v_{n-1})]`` in standard
     coordinates, where psi is the normalized all-ones vector and the v_k form
-    an orthonormal basis of its orthocomplement.  For n <= 6 the v_k follow
-    the documented explicit patterns; larger n uses the paired-difference
+    an orthonormal basis of its orthocomplement, from the paired-difference
     construction.
     """
     if n < 2:
         raise InvariantViolation(f"need dimension >= 2, got {n}")
     psi = np.ones(n) / math.sqrt(n)
-    if n in _MINUS_ONE_PATTERNS:
-        minus = [np.array(p, dtype=float) for p in _MINUS_ONE_PATTERNS[n]]
-        minus = [v / np.linalg.norm(v) for v in minus]
-    else:
-        minus = _paired_difference_basis(n)
-    return [(float(n - 1), psi)] + [(-1.0, v) for v in minus]
+    return [(float(n - 1), psi)] + [(-1.0, v) for v in _paired_difference_basis(n)]
 
 
 def dim2_residual_eigen(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
+from .operators import _check_tol
 
 # Support membership and normalization both use this cutoff.
 ZERO_TOL = 1e-12
@@ -147,8 +148,7 @@ def marginals(u: ProductMeasure) -> tuple[ProbMeasure, ProbMeasure]:
 
 def is_factorized(u: ProductMeasure, tol: float = 1e-10) -> bool:
     """True when u equals the product of its own marginals, entrywise within tol."""
-    if not 0.0 < tol < math.inf:
-        raise InvariantViolation(f"tolerance must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     row = u.weights.sum(axis=1)
     col = u.weights.sum(axis=0)
     return bool(np.max(np.abs(u.weights - np.outer(row, col))) <= tol)

@@ -55,6 +55,12 @@ def _check_unit(a: np.ndarray, what: str, axis: Optional[int] = None) -> None:
         raise InvariantViolation(f"{what} must have norm 1 within {UNIT_TOL}, is off by {off:.3e}")
 
 
+def _check_tol(tol: float) -> None:
+    """Raise InvariantViolation unless the caller's tolerance ``tol`` is finite and positive."""
+    if not 0.0 < tol < math.inf:
+        raise InvariantViolation(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def _factor_dims(dims, dim: int) -> tuple[int, int]:
     """``dims`` as a pair of ints: two positive integers, not bools, whose product is ``dim``."""
     if len(dims) != 2 or any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1
@@ -203,7 +209,10 @@ def hermitian_eigen(a: Operator) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(values, vectors)`` with values descending and ``vectors[:, k]``
     the unit eigenvector for ``values[k]``.  Within a degenerate cluster the
     vectors are ordered by the position of their largest-magnitude component,
-    and each vector's phase is fixed so that component is real positive.
+    and each vector's phase is fixed so that component is real positive.  When
+    entries tie in magnitude up to rounding, the phase fix may leave another of
+    them a last bit larger: the real positive entry is then within a relative
+    1e-12 of the largest, not necessarily the largest itself.
     """
     m = a.mat
     scale = max(1.0, hs_norm(a))

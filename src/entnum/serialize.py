@@ -2,9 +2,11 @@
 
 Complex numbers are always two-element arrays [re, im]; vectors are arrays of
 pairs, matrices arrays of rows.  Probability measures are plain number arrays
-(matrices of numbers for product measures).  Structural problems raise
-ParseError; well-formed values that fail domain checks raise their usual
-InvariantViolation / DimensionMismatch from the constructors.
+(matrices of numbers for product measures).  Every array goes through one
+reader, which checks only JSON types and rectangular shape: a non-empty nest of
+numbers (not booleans) of exactly the expected depth, else ParseError.  The
+value types' intake then checks shape and finiteness and raises its usual
+DimensionMismatch / InvariantViolation.
 """
 
 from __future__ import annotations
@@ -22,10 +24,36 @@ from .mixed import OptimizerOptions, PureDecomposition
 from .operators import DensityState, Operator
 
 
-def _require_number(x: Any) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"expected a number, got {x!r}")
-    return float(x)
+def _read(obj: Any, ndim: int, expected: str, pairs: bool = False) -> np.ndarray:
+    """``obj`` as a float array with ``ndim`` axes, else ParseError naming ``expected``.
+
+    ``obj`` must be a non-empty, rectangular nest of numbers (int or float, not
+    bool) exactly ``ndim`` deep; with ``pairs`` one level deeper, ending in
+    [re, im] pairs that are read as a complex array.  NaN and infinities pass.
+    """
+    try:
+        a = np.array(obj, dtype=object)
+        if (a.ndim == ndim + pairs and a.size and (not pairs or a.shape[-1] == 2)
+                and all(issubclass(t, (int, float)) and t is not bool
+                        for t in set(map(type, a.flat)))):
+            a = a.astype(float)
+            return a.view(complex)[..., 0] if pairs else a
+    except (OverflowError, RuntimeError, ValueError):
+        pass  # an integer too large for a float, or a nest deeper than numpy allows
+    raise ParseError(f"expected {expected}")
+
+
+def _write(a: np.ndarray) -> list:
+    """Complex array as nested lists ending in [re, im] pairs."""
+    a = np.asarray(a)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _fields(obj: Any, *names: str) -> list:
+    """The values of the named fields of a JSON object; other keys are ignored."""
+    if not isinstance(obj, dict) or any(n not in obj for n in names):
+        raise ParseError(f"expected an object with fields {{{', '.join(names)}}}")
+    return [obj[n] for n in names]
 
 
 def _require_int(x: Any) -> int:
@@ -34,54 +62,25 @@ def _require_int(x: Any) -> int:
     return int(x)
 
 
-def decode_complex(obj: Any) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ParseError(f"complex entries must be [re, im] pairs, got {obj!r}")
-    return complex(_require_number(obj[0]), _require_number(obj[1]))
-
-
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def decode_vector(obj: Any) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("expected a non-empty array of [re, im] pairs")
-    return np.array([decode_complex(e) for e in obj])
-
-
-def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return [encode_complex(complex(z)) for z in np.asarray(v).reshape(-1)]
+    return _read(obj, 1, "a non-empty array of [re, im] number pairs", pairs=True)
 
 
 def decode_matrix(obj: Any) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("expected a non-empty array of rows")
-    rows = [decode_vector(r) for r in obj]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise ParseError("matrix rows have unequal lengths")
-    return np.stack(rows)
+    return _read(obj, 2, "a non-empty array of equal-length rows of [re, im] number pairs",
+                 pairs=True)
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [encode_vector(row) for row in np.asarray(m)]
+def encode_matrix(m: np.ndarray) -> list:
+    return _write(m)
 
 
 def decode_prob_measure(obj: Any) -> ProbMeasure:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("expected a non-empty array of numbers")
-    return ProbMeasure(np.array([_require_number(x) for x in obj]))
+    return ProbMeasure(_read(obj, 1, "a non-empty array of numbers"))
 
 
 def decode_product_measure(obj: Any) -> ProductMeasure:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ParseError("expected a non-empty array of number rows")
-    rows = [[_require_number(x) for x in r] for r in obj]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width == 0:
-        raise ParseError("product measure rows must be non-empty and of equal length")
-    return ProductMeasure(np.array(rows))
+    return ProductMeasure(_read(obj, 2, "a non-empty array of equal-length number rows"))
 
 
 def decode_classical(obj: Any) -> ProbMeasure | ProductMeasure:
@@ -97,10 +96,6 @@ def decode_operator(obj: Any) -> Operator:
     return Operator(decode_matrix(obj))
 
 
-def encode_operator(a: Operator) -> list:
-    return encode_matrix(a.mat)
-
-
 def decode_density(obj: Any, factor_dims: tuple[int, int] | None = None) -> DensityState:
     return DensityState(decode_matrix(obj), factor_dims=factor_dims)
 
@@ -110,16 +105,11 @@ def decode_context(obj: Any) -> Context:
 
 
 def encode_context(ctx: Context) -> list:
-    return [encode_vector(row) for row in ctx.matrix]
+    return _write(ctx.matrix)
 
 
 def decode_bipartite_state(obj: Any) -> BipartiteVectorState:
-    if not isinstance(obj, dict):
-        raise ParseError("expected {dimA, dimB, coeff}")
-    try:
-        da, db, coeff = obj["dimA"], obj["dimB"], obj["coeff"]
-    except KeyError as exc:
-        raise ParseError(f"malformed bipartite state object: {exc}") from exc
+    da, db, coeff = _fields(obj, "dimA", "dimB", "coeff")
     return bipartite_from_vector(decode_matrix(coeff).reshape(-1),
                                  (_require_int(da), _require_int(db)))
 
@@ -130,37 +120,24 @@ def encode_bipartite_state(psi: BipartiteVectorState) -> dict:
 
 
 def decode_entanglement(obj: Any) -> Entanglement:
-    if not isinstance(obj, dict):
-        raise ParseError("expected {lambda, ctxA, ctxB}")
-    try:
-        lam, ca, cb = obj["lambda"], obj["ctxA"], obj["ctxB"]
-    except KeyError as exc:
-        raise ParseError(f"missing entanglement field: {exc}") from exc
+    lam, ca, cb = _fields(obj, "lambda", "ctxA", "ctxB")
     return Entanglement(decode_prob_measure(lam), decode_context(ca), decode_context(cb))
 
 
 def encode_entanglement(e: Entanglement) -> dict:
     return {
-        "lambda": [float(w) for w in e.lam.weights],
+        "lambda": e.lam.weights.tolist(),
         "ctxA": encode_context(e.ctx_a),
         "ctxB": encode_context(e.ctx_b),
     }
 
 
 def encode_decomposition(d: PureDecomposition) -> dict:
-    return {
-        "weights": [float(w) for w in d.weights.weights],
-        "vectors": [encode_vector(v) for v in d.vectors],
-    }
+    return {"weights": d.weights.weights.tolist(), "vectors": _write(d.vectors)}
 
 
 def decode_decomposition(obj: Any) -> PureDecomposition:
-    if not isinstance(obj, dict):
-        raise ParseError("expected {weights, vectors}")
-    try:
-        weights, vectors = obj["weights"], obj["vectors"]
-    except KeyError as exc:
-        raise ParseError(f"missing decomposition field: {exc}") from exc
+    weights, vectors = _fields(obj, "weights", "vectors")
     return PureDecomposition(decode_prob_measure(weights), decode_matrix(vectors))
 
 

@@ -75,18 +75,34 @@ class TestClassical:
         assert code == 0
         assert "verdict = factorized" in out
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_non_finite_tol_exits_3(self, tmp_path, capsys, tol):
-        path = write(tmp_path, "u.json", [[0.5, 0.5]])
-        code, out, _ = run(capsys, ["classical", path, "--tol", tol])
-        assert code == 3
-        assert out == ""
+        for name, measure in [("u.json", [0.5, 0.5]), ("p.json", [[0.5, 0.5]])]:
+            path = write(tmp_path, name, measure)
+            code, out, _ = run(capsys, ["classical", path, "--tol", tol])
+            assert code == 3
+            assert out == ""
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[0.5, 0.5")
         code, _, err = run(capsys, ["classical", str(path)])
         assert code == 2
+
+    def test_too_deep_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, _, err = run(capsys, ["classical", str(path)])
+        assert code == 2
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("measure", [[10 ** 400, 0], [[10 ** 400, 0]]])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, measure):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(measure))
+        code, _, err = run(capsys, ["classical", str(path)])
+        assert code == 2
+        assert err.startswith("parse error:")
 
     def test_unnormalized_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "u.json", [0.5, 0.6])
@@ -184,6 +200,13 @@ class TestContextCoeff:
     def test_ragged_context_exits_2(self, tmp_path, capsys):
         op_path = write(tmp_path, "a.json", cmat(np.eye(2)))
         ctx_path = write(tmp_path, "ctx.json", [cvec([1, 0]), cvec([0])])
+        code, _, err = run(capsys, ["context-coeff", op_path, ctx_path])
+        assert code == 2
+        assert err.startswith("parse error:")
+
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        op_path = write(tmp_path, "a.json", [[[10 ** 400, 0], [0, 0]], cvec([0, 1])])
+        ctx_path = write(tmp_path, "ctx.json", cmat(np.eye(2)))
         code, _, err = run(capsys, ["context-coeff", op_path, ctx_path])
         assert code == 2
         assert err.startswith("parse error:")

@@ -75,6 +75,10 @@ def test_hermitian_eigen_is_descending_with_real_positive_top_entries(a):
     scale = max(1.0, op.hs_norm(a))
     # descending; a cluster of ties is ordered by the position of its vectors' largest entries
     assert np.all(w[:-1] - w[1:] >= -op.EIGEN_TIE_TOL * scale)
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    assert np.all(top.real > 0) and np.all(np.abs(top.imag) <= 1e-15)
+    # entries that tie in magnitude up to rounding may trade places in the phase fix, so
+    # some entry within a relative 1e-12 of each column's largest magnitude is real positive
+    mag = np.abs(v)
+    top = mag >= (1.0 - 1e-12) * mag.max(axis=0)
+    real_positive = (v.real > 0) & (np.abs(v.imag) <= 1e-15)
+    assert np.all((top & real_positive).any(axis=0))
     assert np.max(np.abs(a.mat @ v - v * w)) <= 1e-10 * scale

@@ -11,24 +11,68 @@ from entnum import contexts as cx
 from entnum import mixed as mx
 from entnum import operators as op
 from entnum import serialize as sz
-from entnum.errors import ParseError
+from entnum.errors import InvariantViolation, ParseError
 from entnum.measures import ProbMeasure
 
 
-class TestScalarsAndArrays:
-    def test_complex_round_trip(self):
-        z = 1.25 - 3.5j
-        assert sz.decode_complex(sz.encode_complex(z)) == z
+def _with_first(obj, leaf):
+    """``obj`` with its first number replaced by ``leaf``."""
+    return [_with_first(obj[0], leaf), *obj[1:]] if isinstance(obj, list) else leaf
 
+
+def _nest(leaf, depth):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+# each reader with a valid input, ragged rows and, where entries are [re, im] pairs, a
+# 3-element pair
+READERS = [
+    (sz.decode_vector, [[1, 0], [0, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 0, 0]]),
+    (sz.decode_matrix, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[1, 0]]],
+     [[[1, 0, 0]]]),
+    (sz.decode_prob_measure, [0.5, 0.5], [[0.5], [0.25, 0.25]], None),
+    (sz.decode_product_measure, [[0.5, 0.5], [0, 0]], [[0.5, 0.5], [0]], None),
+]
+BAD_ENTRIES = {"true": True, "string": "1", "null": None, "object": {}, "400-digit": 10 ** 400}
+
+
+def _malformed():
+    for decode, valid, ragged, pair in READERS:
+        name = decode.__name__
+        yield pytest.param(decode, ragged, id=f"{name}-ragged")
+        if pair is not None:
+            yield pytest.param(decode, pair, id=f"{name}-3-element-pair")
+        for label, leaf in BAD_ENTRIES.items():
+            yield pytest.param(decode, _with_first(valid, leaf), id=f"{name}-{label}-entry")
+            yield pytest.param(decode, leaf, id=f"{name}-{label}")
+        yield pytest.param(decode, [], id=f"{name}-empty")
+        yield pytest.param(decode, [[]], id=f"{name}-empty-row")
+        yield pytest.param(decode, _nest(1.0, 100), id=f"{name}-100-deep")
+    yield pytest.param(sz.decode_vector, [[1.0]], id="decode_vector-1-element-pair")
+    yield pytest.param(sz.decode_vector, [[1.0, "x"]], id="decode_vector-string-in-pair")
+
+
+class TestScalarsAndArrays:
     def test_matrix_round_trip(self):
         m = np.array([[1 + 2j, 0], [3, -1j]])
         np.testing.assert_array_equal(sz.decode_matrix(sz.encode_matrix(m)), m)
 
-    def test_rejects_bad_pair(self):
+    @pytest.mark.parametrize("decode, obj", _malformed())
+    def test_reader_rejects(self, decode, obj):
         with pytest.raises(ParseError):
-            sz.decode_complex([1.0])
-        with pytest.raises(ParseError):
-            sz.decode_complex([1.0, "x"])
+            decode(obj)
+
+    @pytest.mark.parametrize("decode, valid", [r[:2] for r in READERS],
+                             ids=[r[0].__name__ for r in READERS])
+    def test_reader_passes_nan(self, decode, valid):
+        obj = _with_first(valid, json.loads("NaN"))
+        if decode in (sz.decode_vector, sz.decode_matrix):
+            assert np.isnan(decode(obj).flat[0].real)
+        else:  # the measure's intake, not the reader, rejects it
+            with pytest.raises(InvariantViolation):
+                decode(obj)
 
     def test_rejects_ragged_matrix(self):
         with pytest.raises(ParseError):
