@@ -193,9 +193,17 @@ def haar_isometry(m, r, rng):
     return mx._qr_isometry(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
 
 
-def search_and_start(dims, rng):
-    """Search over a random full-rank state, and a random 2r x r isometry to start from."""
-    rho = op.random_density(dims[0] * dims[1], rng, factor_dims=dims)
+def wishart_state(dims, rank, rng):
+    """G G* / tr with G a complex Gaussian (d_A d_B) x rank matrix."""
+    n = dims[0] * dims[1]
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    mat = g @ g.conj().T
+    return op.DensityState(mat / np.trace(mat).real, factor_dims=dims)
+
+
+def search_and_start(dims, rng, rank=None):
+    """Search over a random state (full rank by default), and a random 2r x r isometry."""
+    rho = wishart_state(dims, dims[0] * dims[1] if rank is None else rank, rng)
     spectral = mx.spectral_pure_decomposition(rho)
     r = len(spectral)
     return rho, mx._DecompositionSearch(rho, spectral), haar_isometry(2 * r, r, rng)
@@ -233,7 +241,36 @@ class TestSearchKernel:
             assert search.objective(v) == pytest.approx(
                 mx.decomposition_entanglement(rho, d), abs=1e-12)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    # (dims, rank, kernel the selection rule picks): both sides of SUPPORT_CROSSOVER
+    FORM_STATES = [((2, 2), 4, "support"), ((3, 3), 5, "support"), ((4, 4), 4, "support"),
+                   ((4, 4), 16, "minor")]
+
+    @pytest.mark.parametrize("dims, rank, form", FORM_STATES)
+    def test_selection_rule_picks_the_kernel(self, dims, rank, form):
+        _, search, _ = search_and_start(dims, np.random.default_rng(99), rank)
+        assert search.support == (form == "support")
+
+    @pytest.mark.parametrize("dims, rank, form", FORM_STATES)
+    def test_support_form_matches_minor_form(self, dims, rank, form, monkeypatch):
+        rng = np.random.default_rng(100)
+        rho = wishart_state(dims, rank, rng)
+        spectral = mx.spectral_pure_decomposition(rho)
+        searches = {}
+        for kind in (True, False):
+            monkeypatch.setattr(mx, "_prefers_support", lambda s, r, n, kind=kind: kind)
+            searches[kind] = mx._DecompositionSearch(rho, spectral)
+        assert searches[True].support and not searches[False].support
+        v = haar_isometry(2 * rank, rank, rng)
+        (x, c), (w, c_minor) = searches[True].terms(v), searches[False].terms(v)
+        rows = np.sqrt(spectral.weights.weights)[:, None] * spectral.vectors
+        np.testing.assert_allclose(c, bp._cross_terms(v @ rows, bp._minor_positions(*dims)),
+                                   rtol=1e-12, atol=0)
+        for eps in (1e-2, 1e-8):
+            got = searches[True].gradient(v, x, c, eps)
+            want = searches[False].gradient(v, w, c_minor, eps)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
     def test_gradient_matches_finite_difference(self, dims):
         rng = np.random.default_rng(96)
         _, search, v = search_and_start(dims, rng)
@@ -247,12 +284,19 @@ class TestSearchKernel:
         slope = np.vdot(grad, z).real
         assert (f(h) - f(-h)) / (2 * h) == pytest.approx(slope, rel=1e-6)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (9, 3), (32, 16)])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 2), (9, 3), (32, 16), (16, 4)])
     def test_retraction_is_isometry(self, shape):
         rng = np.random.default_rng(97)
         v = haar_isometry(*shape, rng)
         moved = mx._qr_isometry(v + 0.7 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
         for q in (v, moved):
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(shape[1]), rtol=0, atol=1e-12)
+        # the descent's Cholesky QR on tangent steps t d, up to t ||d||_2 = 30
+        d = mx._tangent(v, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        d /= np.linalg.norm(d, 2)
+        for t in (1e-6, 0.7, 3.0, 30.0):
+            q = mx._cholesky_retraction(v + t * d)
+            np.testing.assert_allclose(q, mx._qr_isometry(v + t * d), rtol=0, atol=1e-13)
             np.testing.assert_allclose(q.conj().T @ q, np.eye(shape[1]), rtol=0, atol=1e-12)
 
     def test_zero_rows_stay_zero(self):
@@ -367,11 +411,14 @@ class TestMixedOptimizer:
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self):
-        rho, _ = mx.separable_with_entangled_spectrum()
-        opts = mx.OptimizerOptions(restarts=12, seed=3)
-        a = mx.entanglement_number_mixed(rho, opts)
-        b = mx.entanglement_number_mixed(rho, opts)
-        assert a.value == b.value
+        # Example 9 stops early; the Wishart states run every restart, one per kernel
+        rng = np.random.default_rng(7)
+        opts = mx.OptimizerOptions(restarts=3, max_iters=200, seed=3)
+        for rho in (mx.separable_with_entangled_spectrum()[0], wishart_state((2, 2), 3, rng),
+                    wishart_state((4, 4), 16, rng)):
+            a = mx.entanglement_number_mixed(rho, opts)
+            b = mx.entanglement_number_mixed(rho, opts)
+            assert (a.value, a.evaluations) == (b.value, b.evaluations)
 
     def test_requires_factor_dims(self):
         with pytest.raises(DimensionMismatch):
@@ -416,17 +463,18 @@ class TestMixedOptimizer:
 
     def test_nan_descent_ends(self):
         rng = np.random.default_rng(94)
-        _, search, v = search_and_start((2, 2), rng)
-        finite_rows = search.rows
-        search.rows = np.full_like(finite_rows, np.nan)
-        with np.errstate(invalid="ignore"):
+        for dims in [(2, 2), (4, 4)]:  # the support and the minor kernel
+            _, search, v = search_and_start(dims, rng)
+            finite_basis = search.basis  # what either kernel multiplies v by first
+            search.basis = np.full_like(finite_basis, np.nan)
+            with np.errstate(invalid="ignore"):
+                search.descend(v, 500, 0.0)
+            assert search.evaluations <= 2
+            # a finite value with a NaN gradient: the floor test itself must end each stage
+            search.basis, search.evaluations = finite_basis, 0
+            search.gradient = lambda v, x, c, eps: np.full_like(v, np.nan)
             search.descend(v, 500, 0.0)
-        assert search.evaluations <= 2
-        # a finite value with a NaN gradient: the floor test itself must end each stage
-        search.rows, search.evaluations = finite_rows, 0
-        search.gradient = lambda v, w, c, eps: np.full_like(v, np.nan)
-        search.descend(v, 500, 0.0)
-        assert search.evaluations <= 2
+            assert search.evaluations <= 2
 
 
 class TestSeparabilityCertificate:

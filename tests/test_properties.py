@@ -1,4 +1,4 @@
-"""Randomized properties of entanglement triples and deterministic eigenbases."""
+"""Randomized properties of entanglement triples, deterministic eigenbases and search kernels."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from entnum import bipartite as bp  # noqa: E402
 from entnum import contexts as cx  # noqa: E402
 from entnum import measures as ms  # noqa: E402
+from entnum import mixed as mx  # noqa: E402
 from entnum import operators as op  # noqa: E402
 
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -82,3 +83,18 @@ def test_hermitian_eigen_is_descending_with_real_positive_top_entries(a):
     real_positive = (v.real > 0) & (np.abs(v.imag) <= 1e-15)
     assert np.all((top & real_positive).any(axis=0))
     assert np.max(np.abs(a.mat @ v - v * w)) <= 1e-10 * scale
+
+
+@PROPERTY
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 16), SEEDS)
+def test_support_forms_give_the_minor_cross_terms(da, db, rank, seed):
+    rng = np.random.default_rng(seed)
+    r = min(rank, da * db)
+    rows = rng.normal(size=(r, da * db)) + 1j * rng.normal(size=(r, da * db))
+    minors = bp._minor_positions(da, db)
+    forms = mx._support_forms(rows, minors)
+    assert len(forms) == min(minors.shape[-1], r * (r + 1) // 2)
+    v = rng.normal(size=(5, r)) + 1j * rng.normal(size=(5, r))
+    y = np.einsum("ij,pjl,il->ip", v, forms, v)
+    expected = bp._cross_terms(v @ rows, minors)
+    assert np.all(np.abs(2.0 * np.sum(np.abs(y) ** 2, axis=1) - expected) <= 1e-12 * expected)
