@@ -147,8 +147,9 @@ def _cross_terms(rows: np.ndarray, minors: np.ndarray) -> np.ndarray:
     By Cauchy-Binet, 2 sum |X_ac X_bd - X_ad X_bc|^2 over the 2x2 minors of X: a
     sum of squares, so no SVD, no cancellation near product vectors, 0 on a zero row.
     """
-    ac, bd, ad, bc = (rows.take(p, axis=-1) for p in minors.reshape(4, -1))
-    det = ac * bd - ad * bc
+    t = rows.take(minors, axis=-1)
+    pairs = t[..., 0, :] * t[..., 1, :]
+    det = pairs[..., 0, :] - pairs[..., 1, :]
     return 2.0 * np.einsum("...i,...i->...", det, det.conj()).real
 
 

@@ -18,7 +18,7 @@ isometries (Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)):
 Polak-Ribiere+ directions from the analytic gradient, a Cholesky QR retraction
 and Armijo backtracking.  The retraction of z = V + t D is z L^-H with L L^H =
 z^H z: the Q factor with a positive diagonal in R, as ``_qr_isometry`` gives
-(which still draws the random starts and kicks), at two small LAPACK calls.  D
+(which draws the random starts and kicks), at two small LAPACK calls.  D
 is tangent at V, so z^H z = 1 + t^2 D^H D is well conditioned.  The kink of sqrt
 at c = 0 is smoothed by eps, stepped down through ``SMOOTHING``; only the descent
 sees the smoothed value, and every value reported is the unsmoothed one.  A
@@ -27,29 +27,15 @@ the smoothed value by more than its rounding error (``ROUNDING``); a pure state
 stops after restart 0.
 
 Terms are scored without an SVD, through the 2x2 minors of their coefficient
-matrices (``bipartite._cross_terms``), which do not cancel near product vectors.
-Each minor of a decomposition row w = v @ rows is a complex symmetric form
-v^T N_q v on the support, so the search may instead evaluate c = 2 sum_p
-|v^T N_p v|^2 over the s = min(k, r(r+1)/2) forms of ``_support_forms`` (k the
-number of minors), built once per state, and never build w.  That support form
-wins at low rank and loses at full rank; ``_prefers_support`` takes it when
-s r <= ``SUPPORT_CROSSOVER`` * d_A d_B.  The rule is fixed, not timed, so results
-stay bit-reproducible for a seed.  One terms + gradient + terms call at the
-default m, best of 7 x 100, the two forms interleaved on one core (microseconds):
-
-    dims, r     s r / (d_A d_B)   minor   support
-    2x2, 4             1            136       63
-    3x3, 9             9            149       86
-    4x4, 8            18            161      122
-    4x4, 10           22.5          172      156
-    4x4, 12           27            130      130
-    5x5, 11           29            169      197
-    4x4, 16           36            251      344
-    6x6, 36          225            678    15773
-
-The final value and the certificate are scored by ``bipartite._pure_numbers``
-on the rebuilt vectors, so a support-form search is never checked by its own
-kernel.
+matrices, which do not cancel near product vectors.  Each minor of a
+decomposition row w = v @ rows is a complex symmetric form v^T N_q v on the
+support, so the search evaluates c = 2 sum_p |v^T N_p v|^2 over the
+s = min(k, r(r+1)/2) forms of ``_support_forms`` (k the number of minors), built
+once per state, and never builds w.  That costs about s r^2 per row against
+r d_A d_B + k for the minors of w: the support form is the faster one at low
+rank and the slower one at full rank from 4x4 up.  The final value and the
+certificate are scored by ``bipartite._pure_numbers`` on the rebuilt vectors,
+so a search is never checked by its own kernel.
 
 ``MixedResult.certificate`` is the best decomposition when it passes the
 certificate test; ``separability_certificate`` runs a full search of its own.
@@ -67,7 +53,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure
 from .operators import DensityState, hermitian_eigen, Operator, _check_unit, _intake, _qr_isometry
-from .bipartite import _cross_terms, _minor_positions, _pure_numbers
+from .bipartite import _minor_positions, _pure_numbers
 
 
 # scipy names that bench/tracing.py patches, loaded on first access; ROADMAP item 1 deletes this
@@ -104,9 +90,6 @@ POLISH_ROUNDS = 2
 SMOOTHING = (1e-2, 1e-4, 1e-6, 1e-8)
 ROUNDING = 64 * np.finfo(float).eps
 STALL_ITERS, STALL_DROP = 30, 1e-3
-# The search scores terms through s support forms of rank r while s * r is at most
-# SUPPORT_CROSSOVER times the row length d_A * d_B, and through the row minors above.
-SUPPORT_CROSSOVER = 24
 ARMIJO = 1e-4
 KICK = 1e-3  # size of each polish round's kick
 
@@ -237,67 +220,53 @@ def _require_factor_dims(rho: DensityState) -> tuple[int, int]:
 
 
 class _DecompositionSearch:
-    """Precomputed spectral data plus the objective and its gradient over m x r isometries.
+    """Precomputed support forms plus the objective and its gradient over m x r isometries.
 
-    Row v of an isometry gives the decomposition row w = v @ rows, with rows the r
-    vectors sqrt(mu_j) chi_j.  The cross terms are evaluated through the support
-    forms (``support`` True) or the minors of w, as ``_prefers_support`` picks once
-    per state; either kernel starts from ``v @ basis``.
+    Row v of an isometry gives the decomposition row v @ rows, with rows the r
+    vectors sqrt(mu_j) chi_j; its cross terms are 2 sum_p |v^T N_p v|^2 over the
+    forms N_p of ``_support_forms``, so the search never builds the rows.
     """
 
     def __init__(self, rho: DensityState, spectral: PureDecomposition):
         self.dims = _require_factor_dims(rho)
-        self.minors = _minor_positions(*self.dims)
         rows = np.sqrt(spectral.weights.weights)[:, None] * spectral.vectors
-        r, n = rows.shape
-        self.support = _prefers_support(min(self.minors.shape[-1], r * (r + 1) // 2), r, n)
         # forms[p, l, j] = N_p[l, j], side by side: (v @ basis)[p * r + j] = (N_p v)_j
-        self.basis = (_support_forms(rows, self.minors).transpose(1, 0, 2).reshape(r, -1)
-                      if self.support else rows)
+        forms = _support_forms(rows, _minor_positions(*self.dims))
+        self.basis = forms.transpose(1, 0, 2).reshape(len(rows), -1)
         self.evaluations = 0
 
-    def terms(self, v: np.ndarray) -> tuple[object, np.ndarray]:
-        """(what ``gradient`` needs, cross terms c) of the decomposition rows of v.
-
-        What the gradient needs is (y, N v), y_p = v^T N_p v, in the support form,
-        and the rows w = v @ rows in the minor form.  One call is one evaluation.
-        """
+    def terms(self, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """((y, N v), c) with y_p = v^T N_p v and the cross terms c (one evaluation)."""
         self.evaluations += 1
-        x = v @ self.basis
-        if not self.support:
-            return x, _cross_terms(x, self.minors)
-        nv = x.reshape(len(v), -1, v.shape[1])
+        nv = (v @ self.basis).reshape(len(v), -1, v.shape[1])
         y = (nv @ v[:, :, None])[..., 0]
         return (y, nv), 2.0 * np.einsum("ip,ip->i", y, y.conj()).real
 
     def objective(self, v: np.ndarray) -> float:
         # per term: p_i * sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k)
-        return float(np.sqrt(self.terms(v)[1]).sum())
+        return float(np.sum(np.sqrt(self.terms(v)[1])))
 
-    def gradient(self, v: np.ndarray, x: object, c: np.ndarray, eps: float) -> np.ndarray:
-        """Riemannian gradient of ``_smoothed`` at v, from its ``terms`` (x, c)."""
-        if self.support:  # (4 / sqrt(c + eps^2)) sum_p y_p conj(N_p v)
-            y, nv = x
-            g = (y.conj()[:, None, :] @ nv)[:, 0].conj()
-            return _tangent(v, g * (4.0 / np.sqrt(c + eps * eps))[:, None])
-        w = x.reshape(-1, *self.dims)
-        norm2 = np.sum(w.real**2 + w.imag**2, axis=(1, 2))[:, None, None]
-        g = 2.0 * (norm2 * w - w @ w.conj().transpose(0, 2, 1) @ w)
-        g /= np.sqrt(c + eps * eps)[:, None, None]
-        return _tangent(v, g.reshape(x.shape) @ self.basis.conj().T)
+    def gradient(self, v: np.ndarray, x: tuple[np.ndarray, np.ndarray], c: np.ndarray,
+                 eps: float) -> np.ndarray:
+        """Riemannian gradient of ``_smoothed`` at v, from its ``terms`` (x, c).
+
+        The Euclidean gradient is (4 / sqrt(c + eps^2)) sum_p y_p conj(N_p v).
+        """
+        y, nv = x
+        g = (y.conj()[:, None, :] @ nv)[:, 0].conj()
+        return _tangent(v, g * (4.0 / np.sqrt(c + eps * eps))[:, None])
 
     def descend(self, v: np.ndarray, max_iters: int, stop_at: float) -> tuple[float, np.ndarray]:
         """Conjugate gradients from v through the smoothing stages; (value, isometry) at the end."""
         x, c = self.terms(v)
-        value, step, iters = float(np.sqrt(c).sum()), 1.0, 0
+        value, step, iters = float(np.sum(np.sqrt(c))), 1.0, 0
         for eps in SMOOTHING:
             f, xi = _smoothed(c, eps), self.gradient(v, x, c, eps)
-            xi2 = np.vdot(xi, xi).real
             d, trail = -xi, [value]
             while iters < max_iters and value > stop_at:
                 slope = np.vdot(xi, d).real
                 if slope >= 0.0:  # not a descent direction: restart from steepest descent
-                    d, slope = -xi, -xi2
+                    d, slope = -xi, -np.vdot(xi, xi).real
                 noise, t = ROUNDING * f, 2.0 * step
                 while -t * slope > noise:  # Armijo backtracking; a NaN ends the stage
                     v1 = _cholesky_retraction(v + t * d)
@@ -309,13 +278,11 @@ class _DecompositionSearch:
                 else:
                     break
                 xi1 = self.gradient(v1, x1, c1, eps)
-                xi12 = np.vdot(xi1, xi1).real
-                # Polak-Ribiere+ with transport by projection onto the tangent space at v1;
-                # xi1 is tangent there, so <xi1, P xi> = <xi1, xi>
-                beta = max(0.0, (xi12 - np.vdot(xi1, xi).real) / xi2)
+                # vector transport by projection onto the tangent space at v1
+                beta = max(0.0, np.vdot(xi1, xi1 - _tangent(v1, xi)).real / np.vdot(xi, xi).real)
                 d = beta * _tangent(v1, d) - xi1
-                v, x, c, f, xi, xi2, step = v1, x1, c1, f1, xi1, xi12, t
-                value = float(np.sqrt(c).sum())
+                v, x, c, f, xi, step = v1, x1, c1, f1, xi1, t
+                value = float(np.sum(np.sqrt(c)))
                 iters += 1
                 trail.append(value)
                 if len(trail) > STALL_ITERS and \
@@ -324,17 +291,8 @@ class _DecompositionSearch:
         return value, v
 
 
-def _prefers_support(s: int, r: int, n: int) -> bool:
-    """Whether s support forms of rank r beat the minors of length-n rows (measured crossover).
-
-    With no forms (a factor of dimension 1) every row is a product: the minor form
-    has nothing to do either.
-    """
-    return 0 < s * r <= SUPPORT_CROSSOVER * n
-
-
 def _support_forms(rows: np.ndarray, minors: np.ndarray) -> np.ndarray:
-    """(s, r, r) complex symmetric forms N_p with sum_p |v^T N_p v|^2 = sum of |minors of v @ rows|^2.
+    """The s complex symmetric forms N_p, an (s, r, r) array, of c = 2 sum_p |v^T N_p v|^2.
 
     Minor q of w = v @ rows is v^T N_q v, with N_q the symmetric part of M_q[j, l] =
     rows[j, ac] rows[l, bd] - rows[j, ad] rows[l, bc].  Stack the upper triangles of
@@ -342,7 +300,7 @@ def _support_forms(rows: np.ndarray, minors: np.ndarray) -> np.ndarray:
     with z_jl = v_j v_l and D doubling the off-diagonal columns, and ||C D z|| =
     ||T D z||: the upper triangles of T's s = min(k, r(r+1)/2) rows are the forms.
     """
-    ac, bd, ad, bc = (rows.take(p, axis=-1) for p in minors.reshape(4, -1))
+    (ac, bd), (ad, bc) = rows.take(minors, axis=-1).transpose(1, 2, 0, 3)
     m = np.einsum("jq,lq->qjl", ac, bd) - np.einsum("jq,lq->qjl", ad, bc)
     j, l = np.triu_indices(rows.shape[0])
     tri = np.linalg.qr((m[:, j, l] + m[:, l, j]) / 2.0, mode="r")
@@ -364,7 +322,7 @@ def _cholesky_retraction(z: np.ndarray) -> np.ndarray:
 
 def _smoothed(c: np.ndarray, eps: float) -> float:
     """sum sqrt(c + eps^2) - eps, in a form that does not cancel for c << eps^2."""
-    return float((c / (np.sqrt(c + eps * eps) + eps)).sum())
+    return float(np.sum(c / (np.sqrt(c + eps * eps) + eps)))
 
 
 def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -201,9 +201,9 @@ def wishart_state(dims, rank, rng):
     return op.DensityState(mat / np.trace(mat).real, factor_dims=dims)
 
 
-def search_and_start(dims, rng, rank=None):
-    """Search over a random state (full rank by default), and a random 2r x r isometry."""
-    rho = wishart_state(dims, dims[0] * dims[1] if rank is None else rank, rng)
+def search_and_start(dims, rng):
+    """Search over a random full-rank state, and a random 2r x r isometry to start from."""
+    rho = op.random_density(dims[0] * dims[1], rng, factor_dims=dims)
     spectral = mx.spectral_pure_decomposition(rho)
     r = len(spectral)
     return rho, mx._DecompositionSearch(rho, spectral), haar_isometry(2 * r, r, rng)
@@ -241,33 +241,27 @@ class TestSearchKernel:
             assert search.objective(v) == pytest.approx(
                 mx.decomposition_entanglement(rho, d), abs=1e-12)
 
-    # (dims, rank, kernel the selection rule picks): both sides of SUPPORT_CROSSOVER
-    FORM_STATES = [((2, 2), 4, "support"), ((3, 3), 5, "support"), ((4, 4), 4, "support"),
-                   ((4, 4), 16, "minor")]
-
-    @pytest.mark.parametrize("dims, rank, form", FORM_STATES)
-    def test_selection_rule_picks_the_kernel(self, dims, rank, form):
-        _, search, _ = search_and_start(dims, np.random.default_rng(99), rank)
-        assert search.support == (form == "support")
-
-    @pytest.mark.parametrize("dims, rank, form", FORM_STATES)
-    def test_support_form_matches_minor_form(self, dims, rank, form, monkeypatch):
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 5), ((4, 4), 4), ((4, 4), 16)])
+    def test_support_form_matches_minor_form(self, dims, rank):
         rng = np.random.default_rng(100)
         rho = wishart_state(dims, rank, rng)
         spectral = mx.spectral_pure_decomposition(rho)
-        searches = {}
-        for kind in (True, False):
-            monkeypatch.setattr(mx, "_prefers_support", lambda s, r, n, kind=kind: kind)
-            searches[kind] = mx._DecompositionSearch(rho, spectral)
-        assert searches[True].support and not searches[False].support
+        search = mx._DecompositionSearch(rho, spectral)
         v = haar_isometry(2 * rank, rank, rng)
-        (x, c), (w, c_minor) = searches[True].terms(v), searches[False].terms(v)
+        x, c = search.terms(v)
         rows = np.sqrt(spectral.weights.weights)[:, None] * spectral.vectors
-        np.testing.assert_allclose(c, bp._cross_terms(v @ rows, bp._minor_positions(*dims)),
+        w = v @ rows
+        np.testing.assert_allclose(c, bp._cross_terms(w, bp._minor_positions(*dims)),
                                    rtol=1e-12, atol=0)
+        # reference: the gradient through the rows w, 2 (||X||^2 X - X X* X) / sqrt(c + eps^2)
+        # for each coefficient matrix X, pulled back by rows*
+        x3 = w.reshape(-1, *dims)
+        norm2 = np.sum(np.abs(x3) ** 2, axis=(1, 2))[:, None, None]
+        dc = 2.0 * (norm2 * x3 - x3 @ x3.conj().transpose(0, 2, 1) @ x3)
         for eps in (1e-2, 1e-8):
-            got = searches[True].gradient(v, x, c, eps)
-            want = searches[False].gradient(v, w, c_minor, eps)
+            got = search.gradient(v, x, c, eps)
+            want = mx._tangent(v, (dc / np.sqrt(c + eps * eps)[:, None, None]).reshape(w.shape)
+                               @ rows.conj().T)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
@@ -411,11 +405,10 @@ class TestMixedOptimizer:
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self):
-        # Example 9 stops early; the Wishart states run every restart, one per kernel
-        rng = np.random.default_rng(7)
+        # Example 9 stops early; the Wishart state runs every restart
         opts = mx.OptimizerOptions(restarts=3, max_iters=200, seed=3)
-        for rho in (mx.separable_with_entangled_spectrum()[0], wishart_state((2, 2), 3, rng),
-                    wishart_state((4, 4), 16, rng)):
+        for rho in (mx.separable_with_entangled_spectrum()[0],
+                    wishart_state((2, 2), 3, np.random.default_rng(7))):
             a = mx.entanglement_number_mixed(rho, opts)
             b = mx.entanglement_number_mixed(rho, opts)
             assert (a.value, a.evaluations) == (b.value, b.evaluations)
@@ -463,9 +456,9 @@ class TestMixedOptimizer:
 
     def test_nan_descent_ends(self):
         rng = np.random.default_rng(94)
-        for dims in [(2, 2), (4, 4)]:  # the support and the minor kernel
+        for dims in [(2, 2), (4, 4)]:
             _, search, v = search_and_start(dims, rng)
-            finite_basis = search.basis  # what either kernel multiplies v by first
+            finite_basis = search.basis  # what every evaluation multiplies v by first
             search.basis = np.full_like(finite_basis, np.nan)
             with np.errstate(invalid="ignore"):
                 search.descend(v, 500, 0.0)
