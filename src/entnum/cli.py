@@ -16,6 +16,7 @@ significant digits; every reported check carries its tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -50,6 +51,8 @@ class Report:
     inputs_digest: str
     results: list[tuple[str, object, Optional[float]]] = field(default_factory=list)
     assertions: list[tuple[str, float, float, float, bool]] = field(default_factory=list)
+    # verify-paper rows: printed by the command as its own table, written to JSON here
+    rows: list[verify.VerifyRow] = field(default_factory=list)
 
     def add(self, name: str, value, tol: Optional[float] = None) -> None:
         self.results.append((name, value, tol))
@@ -84,7 +87,7 @@ class Report:
             "assertions": [
                 {"name": n, "expected": e, "computed": c, "tol": t, "passed": ok}
                 for n, e, c, t, ok in self.assertions
-            ],
+            ] + [dataclasses.asdict(r) for r in self.rows],
         }
 
 
@@ -189,7 +192,7 @@ def cmd_verify_paper(args) -> tuple[Report, int]:
     digest = hashlib.sha256(
         json.dumps({"seed": args.seed, "only": only}).encode()
     ).hexdigest()
-    report = Report("verify-paper", digest)
+    report = Report("verify-paper", digest, rows=rows)
     print(verify.render_table(rows))
     ok = all(r.passed for r in rows)
     report.add("assertions", len(rows))
@@ -244,11 +247,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then kept for the process.
+
+    Building it costs far more than one parse, which in-process callers would
+    otherwise pay on every call.  ``build_parser`` still returns a fresh one,
+    so editing that cannot change ``main``.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # the command's current module binding, so a patched ``cmd_*`` still applies
+    command = globals()[args.func.__name__]
     try:
-        report, code = args.func(args)
+        report, code = command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,7 +342,91 @@ class TestVerifyPaper:
             assert rows and all(isinstance(r, verify.VerifyRow) for r in rows)
             assert {r.check_id for r in rows} == {check_id}
 
+    def test_out_json_names_every_row(self, tmp_path, capsys):
+        argv = ["verify-paper", "--only", "example1"]
+        _, table, _ = run(capsys, argv)
+        out_path = tmp_path / "verify.json"
+        code, out, _ = run(capsys, argv + ["--out", str(out_path)])
+        assert code == 0
+        assert out == table  # the table gains no "check" lines
+        written = json.loads(out_path.read_text())
+        rows = verify.run_checks(only=["example1"])
+        assert written["assertions"] == [
+            {"check_id": r.check_id, "label": r.label, "expected": r.expected,
+             "computed": r.computed, "tol": r.tol, "source": r.source, "passed": r.passed}
+            for r in rows
+        ]
+        assert {"name": "assertions", "value": str(len(rows)), "tol": None} in written["results"]
+
     def test_report_is_byte_stable(self, capsys):
         _, out1, _ = run(capsys, ["verify-paper", "--seed", "7", "--only", "thm24"])
         _, out2, _ = run(capsys, ["verify-paper", "--seed", "7", "--only", "thm24"])
         assert out1 == out2
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; no call sees another's state."""
+
+    def test_argparse_errors_leave_the_next_call_intact(self, tmp_path, capsys):
+        measure = write(tmp_path, "u.json", [0.5, 0.5])
+        psi = write(tmp_path, "psi.json", cvec([1.0, 0.0, 0.0, 0.0]))
+        valid = {
+            "classical": ["classical", measure],
+            "schmidt": ["schmidt", psi, "--dims", "2", "2"],
+        }
+        expected = {name: run(capsys, argv) for name, argv in valid.items()}
+        assert all(code == 0 for code, _, _ in expected.values())
+        bad_calls = [(["classical"], "classical"), (["nope", measure], "classical"),
+                     (["schmidt", psi, "--dims", "2"], "schmidt")]
+        for bad, name in bad_calls:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+            assert "usage: entnum" in capsys.readouterr().err
+            assert run(capsys, valid[name]) == expected[name]
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        measure = write(tmp_path, "u.json", [0.5, 0.25, 0.25])
+        out_path = tmp_path / "report.json"
+        assert run(capsys, ["classical", measure, "--out", str(out_path)])[0] == 0
+        assert out_path.exists()
+        out_path.unlink()
+        assert run(capsys, ["classical", measure])[0] == 0
+        assert not out_path.exists()
+
+    def test_build_parser_returns_a_fresh_parser(self, tmp_path, capsys):
+        parser = cli.build_parser()
+        assert parser is not cli.build_parser()
+        parser.add_argument("--extra", required=True)  # would make every main call exit 2
+        measure = write(tmp_path, "u.json", [1.0])
+        code, out, _ = run(capsys, ["classical", measure])
+        assert code == 0 and "point = yes" in out
+
+    def test_patched_command_applies_after_the_parser_is_built(self, tmp_path, capsys,
+                                                               monkeypatch):
+        measure = write(tmp_path, "u.json", [1.0])
+        assert run(capsys, ["classical", measure])[0] == 0
+        monkeypatch.setattr(cli, "cmd_classical", lambda args: (cli.Report("stub", "0"), 0))
+        code, out, _ = run(capsys, ["classical", measure])
+        assert code == 0 and out.startswith("command: stub\n")
+
+    def test_in_process_stdout_matches_a_fresh_process(self, tmp_path, capsys):
+        rho, _ = mixed.separable_with_entangled_spectrum()
+        psi = np.array([0.6, 0.0, 0.0, 0.8j])
+        calls = [
+            ["classical", write(tmp_path, "u.json", [0.5, 0.3, 0.2])],
+            ["schmidt", write(tmp_path, "psi.json", cvec(psi)), "--dims", "2", "2"],
+            ["context-coeff", write(tmp_path, "a.json", cmat([[1, 2j], [-2j, 0.5]])),
+             write(tmp_path, "ctx.json", cmat(np.eye(2)))],
+            ["mixed", write(tmp_path, "rho.json", cmat(rho.mat)), "--dims", "2", "2",
+             "--restarts", "2"],
+            ["verify-paper", "--only", "example1"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        for argv in calls:
+            code, out, _ = run(capsys, argv)
+            fresh = subprocess.run([sys.executable, "-m", "entnum", *argv],
+                                   env=dict(os.environ, PYTHONPATH=path),
+                                   capture_output=True, timeout=120)
+            assert (fresh.returncode, fresh.stdout.decode()) == (code, out), argv[0]

@@ -98,3 +98,26 @@ def test_support_forms_give_the_minor_cross_terms(da, db, rank, seed):
     y = np.einsum("ij,pjl,il->ip", v, forms, v)
     expected = bp._cross_terms(v @ rows, minors)
     assert np.all(np.abs(2.0 * np.sum(np.abs(y) ** 2, axis=1) - expected) <= 1e-12 * expected)
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.sampled_from(["random", "measurable", "near-measurable"]), SEEDS)
+def test_commutator_norms_match_the_explicit_commutators(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    ctx = cx.random_context(n, rng)
+    rows = ctx.matrix
+    eigenvalues = rng.normal(size=n) + 1j * rng.normal(size=n)
+    diagonal = (rows.T * eigenvalues) @ rows.conj()  # commutes with every P_i
+    noise = op.random_operator(n, rng).mat
+    a = op.Operator({"random": noise, "measurable": diagonal,
+                     "near-measurable": diagonal + 1e-6 * noise}[kind])
+    # reference: each commutator formed explicitly, one basis vector at a time
+    reference = []
+    for row in rows:
+        p = np.outer(row, row.conj())
+        reference.append(float(np.linalg.norm(a.mat @ p - p @ a.mat)))
+    reference = np.array(reference)
+    norms = cx._commutator_norms(a, ctx)
+    assert np.all(np.abs(norms - reference) <= 1e-9 * reference + 1e-13)
+    assert abs(norms.max() - reference.max()) <= 1e-9 * reference.max() + 1e-13
+    assert cx.is_measurable(a, ctx, tol=1e-10) == (reference.max() <= 1e-10)
