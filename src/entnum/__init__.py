@@ -70,12 +70,10 @@ from .bipartite import (
     verify_entanglement_triple,
 )
 from .mixed import (
-    DecompositionParam,
     MixedResult,
     OptimizerOptions,
     PureDecomposition,
     decomposition_entanglement,
-    decomposition_from_param,
     entanglement_number_mixed,
     separability_certificate,
     separable_with_entangled_spectrum,

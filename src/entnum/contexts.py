@@ -86,12 +86,15 @@ def context_coefficient(a: Operator, ctx: Context) -> float:
     measurable (the trace form bottoms out at sqrt of machine noise there).
     """
     _check_dims(a, ctx)
-    rows = ctx.matrix
-    images = rows @ a.mat.T  # row i is A phi_i
-    means = np.einsum("ij,ij->i", rows.conj(), images)
-    residuals = images - means[:, None] * rows
-    total = float(np.sum(np.abs(residuals) ** 2))
+    total = float(np.sum(np.abs(_residuals(a.mat, ctx.matrix)) ** 2))
     return math.sqrt(max(total, 0.0))
+
+
+def _residuals(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i is (M - mu_i) phi_i with mu_i = <phi_i, M phi_i>, for the basis rows phi_i."""
+    images = rows @ mat.T  # row i is M phi_i
+    means = np.einsum("ij,ij->i", rows.conj(), images)
+    return images - means[:, None] * rows
 
 
 def context_map(a: Operator, ctx: Context) -> Operator:
@@ -110,11 +113,8 @@ def residual_map(a: Operator, ctx: Context) -> Operator:
 def _commutator_norms(a: Operator, ctx: Context) -> np.ndarray:
     """||[A, P_i]||_F for every basis projection P_i, by the identity in ``is_measurable``."""
     rows = ctx.matrix
-    images = rows @ a.mat.T  # row i is A phi_i
-    adjoint_images = rows @ a.mat.conj()  # row i is A* phi_i
-    means = np.einsum("ij,ij->i", rows.conj(), images)
-    squared = (np.sum(np.abs(images - means[:, None] * rows) ** 2, axis=1)
-               + np.sum(np.abs(adjoint_images - means.conj()[:, None] * rows) ** 2, axis=1))
+    squared = (np.sum(np.abs(_residuals(a.mat, rows)) ** 2, axis=1)
+               + np.sum(np.abs(_residuals(a.mat.conj().T, rows)) ** 2, axis=1))
     return np.sqrt(squared)
 
 

@@ -44,7 +44,6 @@ certificate test; ``separability_certificate`` runs a full search of its own.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,7 +69,6 @@ def __getattr__(name: str):
 # Spectral weights and decomposition terms below this are dropped.
 WEIGHT_CUTOFF = 1e-12
 RECONSTRUCTION_TOL = 1e-9
-ISOMETRY_TOL = 1e-9
 # A result certifies separability when its value is at most SEP_THRESHOLD and
 # each of its vectors carries at most CERT_SCALE * sqrt(SEP_THRESHOLD) of pure
 # entanglement.
@@ -120,38 +118,17 @@ class PureDecomposition:
         return float(np.linalg.norm(self.reconstruct() - rho.mat))
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionParam:
-    """m x r isometry parameterizing an m-term decomposition of a rank-r state."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        v = _intake(self.matrix, "an m x r isometry (m >= r)", rule=operator.ge)
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > ISOMETRY_TOL:
-            raise InvariantViolation("parameter columns are not orthonormal")
-        object.__setattr__(self, "matrix", v)
-
-    @property
-    def terms(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
-
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Settings of the decomposition search.
 
     ``restarts`` counts the spectral start, the r-term start and random starts;
     ``max_iters`` caps the conjugate-gradient iterations of one descent, summed
-    over its smoothing stages; ``seed`` seeds the random starts; ``m`` is the
-    number of decomposition terms (default min(r^2, max(16, 2r))).  The stop,
-    convergence and certificate rules are the module constants ``STOP_AT``,
-    ``STAGNATION_TOL``, ``PATIENCE``, ``POLISH_ROUNDS`` and ``SEP_THRESHOLD``.
+    over its smoothing stages; ``seed``, non-negative, seeds the random starts;
+    ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r))).
+    The stop, convergence and certificate rules are the module constants
+    ``STOP_AT``, ``STAGNATION_TOL``, ``PATIENCE``, ``POLISH_ROUNDS`` and
+    ``SEP_THRESHOLD``.
     """
 
     restarts: int = 100
@@ -177,22 +154,16 @@ def spectral_pure_decomposition(rho: DensityState) -> PureDecomposition:
     return PureDecomposition(ProbMeasure(w / w.sum()), v[:, keep].T)
 
 
-def decomposition_from_param(rho: DensityState, p: DecompositionParam) -> PureDecomposition:
-    """Decomposition generated by an isometry from the spectral decomposition of rho.
+def _decompose(rho: DensityState, spectral: PureDecomposition, v: np.ndarray) -> PureDecomposition:
+    """Decomposition that the m x r isometry v generates from the spectral decomposition of rho.
 
     Terms with weight at most ``WEIGHT_CUTOFF`` are dropped and the remaining
-    weights renormalized (relative change at most terms * cutoff).
+    weights renormalized (relative change at most terms * cutoff).  The spectral
+    rows are linearly independent, so a v that is not an isometry misses rho
+    and fails the reconstruction check.
     """
-    return _decompose(rho, spectral_pure_decomposition(rho), p)
-
-
-def _decompose(rho: DensityState, spectral: PureDecomposition,
-               p: DecompositionParam) -> PureDecomposition:
-    r = len(spectral)
-    if p.rank != r:
-        raise DimensionMismatch(f"parameter has {p.rank} columns but rho has rank {r}")
     amps = np.sqrt(spectral.weights.weights)
-    raw = (p.matrix * amps) @ spectral.vectors  # rows w_i, generally unnormalized
+    raw = (v * amps) @ spectral.vectors  # rows w_i, generally unnormalized
     weights = np.linalg.norm(raw, axis=1) ** 2
     keep = weights > WEIGHT_CUTOFF
     weights = weights[keep]
@@ -351,6 +322,8 @@ def entanglement_number_mixed(
     """
     if opts.restarts < 1:
         raise InvariantViolation("need at least one restart")
+    if opts.seed < 0:
+        raise InvariantViolation(f"seed must be non-negative, got {opts.seed}")
     spectral = spectral_pure_decomposition(rho)
     r = len(spectral)
     search_m = min(r * r, max(16, 2 * r)) if opts.m is None else opts.m
@@ -385,7 +358,7 @@ def entanglement_number_mixed(
     converged = r == 1 or best_val <= STOP_AT or (
         len(history) > PATIENCE and history[-1 - PATIENCE] - history[-1] < STAGNATION_TOL)
 
-    best = _decompose(rho, spectral, DecompositionParam(best_v))
+    best = _decompose(rho, spectral, best_v)
     # the lower of the descent's score and the rebuilt decomposition's own score;
     # the two differ by rounding only, so value and witness agree to about 1e-15
     e = _pure_numbers(best.vectors, search.dims)

@@ -445,6 +445,8 @@ def _check_thm33(seed: int) -> Iterator[_Row]:
 
 
 def run_checks(only: list[str] | None = None, seed: int = 0) -> list[VerifyRow]:
+    if seed < 0:
+        raise InvariantViolation(f"seed must be non-negative, got {seed}")
     ids = list(CHECKS) if not only else list(only)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:

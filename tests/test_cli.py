@@ -294,6 +294,12 @@ class TestMixed:
         code, _, _ = run(capsys, ["mixed", path, "--dims", "2", "3"])
         assert code == 4
 
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "rho.json", cmat(np.eye(4) / 4))
+        code, out, err = run(capsys, ["mixed", path, "--dims", "2", "2", "--seed", "-1"])
+        assert code == 3
+        assert out == "" and "seed must be non-negative" in err
+
 
 class TestVerifyPaper:
     def test_single_check(self, capsys):
@@ -318,6 +324,13 @@ class TestVerifyPaper:
     def test_unknown_id_exits_3(self, capsys):
         code, _, _ = run(capsys, ["verify-paper", "--only", "nope"])
         assert code == 3
+
+    def test_negative_seed_exits_3_before_any_check(self, capsys, monkeypatch):
+        seeds = []
+        monkeypatch.setitem(verify.CHECKS, "example1", seeds.append)
+        code, out, err = run(capsys, ["verify-paper", "--seed", "-1", "--only", "example1"])
+        assert code == 3
+        assert seeds == [] and out == "" and "seed must be non-negative" in err
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         def failing(seed):

@@ -8,6 +8,7 @@ import pytest
 from entnum import bipartite as bp
 from entnum import mixed as mx
 from entnum import operators as op
+from entnum import serialize
 from entnum.errors import DimensionMismatch, InvariantViolation
 from entnum.measures import ProbMeasure
 
@@ -59,21 +60,24 @@ class TestSpectralDecomposition:
 
 
 class TestDecompositionFromParam:
+    """``mx._decompose``: the decomposition an m x r isometry generates from the spectral one."""
+
     def test_identity_recovers_spectral(self):
         rng = np.random.default_rng(82)
         rho = op.random_density(4, rng, factor_dims=(2, 2))
         spectral = mx.spectral_pure_decomposition(rho)
-        d = mx.decomposition_from_param(rho, mx.DecompositionParam(np.eye(len(spectral))))
+        d = mx._decompose(rho, spectral, np.eye(len(spectral)))
         np.testing.assert_allclose(d.weights.weights, spectral.weights.weights, atol=1e-10)
         for got, want in zip(d.vectors, spectral.vectors):
             assert abs(np.vdot(got, want)) == pytest.approx(1.0, abs=1e-10)
 
     def test_hadamard_mix_of_maximally_mixed(self):
         rho = op.DensityState(np.eye(2) / 2)
+        spectral = mx.spectral_pure_decomposition(rho)
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        d = mx.decomposition_from_param(rho, mx.DecompositionParam(h))
+        d = mx._decompose(rho, spectral, h)
         np.testing.assert_allclose(d.weights.weights, [0.5, 0.5], atol=1e-12)
-        chi = mx.spectral_pure_decomposition(rho).vectors
+        chi = spectral.vectors
         expect = [(chi[0] + chi[1]) / math.sqrt(2), (chi[0] - chi[1]) / math.sqrt(2)]
         for got, want in zip(d.vectors, expect):
             assert abs(np.vdot(got, want)) == pytest.approx(1.0, abs=1e-10)
@@ -91,36 +95,38 @@ class TestDecompositionFromParam:
             for j in range(2):
                 v[i, j] = np.vdot(spectral.vectors[j], w) / math.sqrt(mu[j])
         np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
-        d = mx.decomposition_from_param(rho, mx.DecompositionParam(v))
+        d = mx._decompose(rho, spectral, v)
         np.testing.assert_allclose(d.weights.weights, [0.5, 0.5], atol=1e-10)
         assert mx.decomposition_entanglement(rho, d) <= 1e-7
 
     def test_reconstruction_for_random_isometries(self):
         rng = np.random.default_rng(83)
         rho = op.random_density(4, rng, factor_dims=(2, 2))
-        r = len(mx.spectral_pure_decomposition(rho))
+        spectral = mx.spectral_pure_decomposition(rho)
+        r = len(spectral)
         for m in (r, r + 2, 2 * r):
             z = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
             q, _ = np.linalg.qr(z)
-            d = mx.decomposition_from_param(rho, mx.DecompositionParam(q[:, :r]))
+            d = mx._decompose(rho, spectral, q[:, :r])
             assert d.reconstruction_error(rho) <= 1e-9
 
-    def test_rejects_wrong_rank(self):
-        rho = bell_projector()
-        with pytest.raises(DimensionMismatch):
-            mx.decomposition_from_param(rho, mx.DecompositionParam(np.eye(2)))
-
     def test_rejects_non_isometry(self):
-        with pytest.raises(InvariantViolation):
-            mx.DecompositionParam(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        # the spectral rows are independent, so only an isometry reconstructs rho
+        rho, spectral = mx.separable_with_entangled_spectrum()
+        rank_one = np.array([[1.0, 0.0], [1.0, 0.0]])
+        long_column = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6], [0.0, 0.0]])
+        for v in (rank_one, long_column):
+            with pytest.raises(InvariantViolation, match="misses rho"):
+                mx._decompose(rho, spectral, v)
 
     def test_rejects_nan_entries(self):
-        # a NaN makes every norm and Gram deviation NaN, which no "> tol" test catches
+        # a NaN makes every norm and reconstruction error NaN, which no "> tol" test catches
         nan_row = np.array([[np.nan, 0.0]])
         with pytest.raises(InvariantViolation):
             mx.PureDecomposition(ProbMeasure(np.ones(1)), nan_row)
+        rho, spectral = mx.separable_with_entangled_spectrum()
         with pytest.raises(InvariantViolation):
-            mx.DecompositionParam(np.vstack([nan_row, [0.0, 1.0]]))
+            mx._decompose(rho, spectral, np.vstack([nan_row, [0.0, 1.0]]))
 
 
 class TestDecompositionEntanglement:
@@ -237,7 +243,7 @@ class TestSearchKernel:
         rng = np.random.default_rng(95)
         for dims in [(2, 2), (2, 3), (3, 3)]:
             rho, search, v = search_and_start(dims, rng)
-            d = mx.decomposition_from_param(rho, mx.DecompositionParam(v))
+            d = mx._decompose(rho, mx.spectral_pure_decomposition(rho), v)
             assert search.objective(v) == pytest.approx(
                 mx.decomposition_entanglement(rho, d), abs=1e-12)
 
@@ -421,6 +427,13 @@ class TestMixedOptimizer:
         rho = op.DensityState(np.eye(4) / 4, factor_dims=(2, 2))
         with pytest.raises(DimensionMismatch):
             mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, m=2))
+
+    def test_rejects_negative_seed(self):
+        # numpy's generator refuses a negative seed; the search says so as an invariant
+        for opts in (mx.OptimizerOptions(restarts=2, seed=-1),
+                     serialize.decode_optimizer_options({"seed": -4})):
+            with pytest.raises(InvariantViolation, match="seed must be non-negative"):
+                mx.entanglement_number_mixed(bell_with_01(), opts)
 
     def test_converged_flags(self):
         rho = bell_with_01()

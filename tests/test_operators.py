@@ -258,7 +258,6 @@ VALUE_TYPES = {
                              np.array([[1.0, 0.0], [0.0, 0.0]])),
     "PureDecomposition": (lambda a: mx.PureDecomposition(ProbMeasure(np.ones(1)), a),
                           lambda v: v.vectors, np.array([[1.0, 0.0]])),
-    "DecompositionParam": (mx.DecompositionParam, lambda v: v.matrix, np.eye(2)),
     "Context": (cx.Context, lambda v: v.matrix, np.eye(2)),
 }
 
