@@ -23,8 +23,15 @@ is tangent at V, so z^H z = 1 + t^2 D^H D is well conditioned.  The kink of sqrt
 at c = 0 is smoothed by eps, stepped down through ``SMOOTHING``; only the descent
 sees the smoothed value, and every value reported is the unsmoothed one.  A
 stage ends when it stalls or when no step that passes the Armijo test lowers
-the smoothed value by more than its rounding error (``ROUNDING``); a pure state
-stops after restart 0.
+the smoothed value by more than its rounding error (``ROUNDING``).
+
+Each search also computes a certified lower bound from the same support forms,
+sqrt(2) sqrt(sum_p U(N_p)^2) with U(N) = max(0, s_1 - sum_{j>1} s_j) over the
+singular values of N_p (Mintert, Kus and Buchleitner, PRL 92, 167902 (2004)).
+The restart loop ends once the best value is within ``STOP_AT`` of it, which
+is then a proof that the infimum was found.  On two qubits the bound is the
+exact Wootters value, and a pure state meets it at restart 0; above 2x2 it can
+lie well below the infimum, and the loop runs its full budget.
 
 Terms are scored without an SVD, through the 2x2 minors of their coefficient
 matrices, which do not cancel near product vectors.  Each minor of a
@@ -38,7 +45,8 @@ certificate are scored by ``bipartite._pure_numbers`` on the rebuilt vectors,
 so a search is never checked by its own kernel.
 
 ``MixedResult.certificate`` is the best decomposition when it passes the
-certificate test; ``separability_certificate`` runs a full search of its own.
+certificate test and the lower bound does not exceed ``STOP_AT``;
+``separability_certificate`` runs a full search of its own.
 """
 
 from __future__ import annotations
@@ -74,11 +82,13 @@ RECONSTRUCTION_TOL = 1e-9
 # entanglement.
 SEP_THRESHOLD = 1e-3
 CERT_SCALE = 1.5
-# A descent and the restart loop end once the value falls to STOP_AT, three
-# orders below SEP_THRESHOLD, so early stops never affect certificate decisions.
+# A descent ends once its value falls to STOP_AT, three orders below SEP_THRESHOLD,
+# so early stops never affect certificate decisions; the restart loop ends once the
+# best value is within STOP_AT of the search's lower bound.  A state whose lower
+# bound exceeds STOP_AT is entangled and gets no certificate.
 STOP_AT = 1e-9
-# The search has converged when the best value fell by less than STAGNATION_TOL
-# over the trailing PATIENCE descents, reached STOP_AT, or the state is pure.
+# The search has converged when the best value met its lower bound within STOP_AT,
+# or fell by less than STAGNATION_TOL over the trailing PATIENCE descents.
 STAGNATION_TOL, PATIENCE = 1e-8, 15
 # Descents from the kicked best isometry after the restarts.
 POLISH_ROUNDS = 2
@@ -123,8 +133,8 @@ class OptimizerOptions:
     """Settings of the decomposition search.
 
     ``restarts`` counts the spectral start, the r-term start and random starts;
-    ``max_iters`` caps the conjugate-gradient iterations of one descent, summed
-    over its smoothing stages; ``seed``, non-negative, seeds the random starts;
+    ``max_iters``, at least 1, caps the conjugate-gradient iterations of one descent,
+    summed over its smoothing stages; ``seed``, non-negative, seeds the random starts;
     ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r))).
     The stop, convergence and certificate rules are the module constants
     ``STOP_AT``, ``STAGNATION_TOL``, ``PATIENCE``, ``POLISH_ROUNDS`` and
@@ -139,11 +149,20 @@ class OptimizerOptions:
 
 @dataclass(frozen=True, eq=False)
 class MixedResult:
+    """Outcome of ``entanglement_number_mixed``: the bracket lower_bound <= e(rho) <= value.
+
+    ``converged`` is True when value is within ``STOP_AT`` of ``lower_bound``, which
+    proves the infimum was found, or when the best value stagnated over the trailing
+    ``PATIENCE`` descents, which is a heuristic.  ``certificate`` is ``best`` when it
+    witnesses separability.
+    """
+
     value: float
     best: PureDecomposition
     converged: bool
     evaluations: int
-    certificate: Optional[PureDecomposition]  # ``best`` if it witnesses separability
+    certificate: Optional[PureDecomposition]
+    lower_bound: float
 
 
 def spectral_pure_decomposition(rho: DensityState) -> PureDecomposition:
@@ -196,6 +215,15 @@ class _DecompositionSearch:
     Row v of an isometry gives the decomposition row v @ rows, with rows the r
     vectors sqrt(mu_j) chi_j; its cross terms are 2 sum_p |v^T N_p v|^2 over the
     forms N_p of ``_support_forms``, so the search never builds the rows.
+
+    ``lower`` is sqrt(2) sqrt(sum_p U(N_p)^2), with U(N) = max(0, s_1 - sum_{j>1} s_j)
+    over the singular values s of N (Mintert, Kus and Buchleitner, PRL 92, 167902
+    (2004)): no isometry scores below it.  The objective is sqrt(2) sum_i ||y_i||
+    with y_ip = v_i^T N_p v_i, since the forms keep ||C D z|| = ||T D z||; by
+    Minkowski's inequality that sum is at least sqrt(2) sqrt(sum_p (sum_i |y_ip|)^2),
+    and sum_i |v_i^T N v_i| >= U(N) for every isometry (Uhlmann, PRA 62, 032307
+    (2000)).  On two qubits there is one form, and the bound is Wootters' C / sqrt(2)
+    (PRL 80, 2245 (1998)), the exact value.
     """
 
     def __init__(self, rho: DensityState, spectral: PureDecomposition):
@@ -203,6 +231,9 @@ class _DecompositionSearch:
         rows = np.sqrt(spectral.weights.weights)[:, None] * spectral.vectors
         # forms[p, l, j] = N_p[l, j], side by side: (v @ basis)[p * r + j] = (N_p v)_j
         forms = _support_forms(rows, _minor_positions(*self.dims))
+        sv = np.linalg.svd(forms, compute_uv=False)
+        uhlmann = np.maximum(0.0, sv[:, 0] - sv[:, 1:].sum(axis=1))
+        self.lower = math.sqrt(2.0) * float(np.linalg.norm(uhlmann))
         self.basis = forms.transpose(1, 0, 2).reshape(len(rows), -1)
         self.evaluations = 0
 
@@ -313,15 +344,20 @@ def entanglement_number_mixed(
     zero: an r-term search.  Later restarts descend from seeded random m x r
     isometries.  Each of the ``POLISH_ROUNDS`` descends again from the best
     isometry after a random kick of size ``KICK``, so rows left at zero can
-    join in.  A pure state stops after restart 0, which is exact.  Results are
-    deterministic for a fixed seed and restart count.
+    join in.  The loop ends once the best value is within ``STOP_AT`` of the
+    search's lower bound (``MixedResult.lower_bound``): nothing can lower it
+    further.  A pure state's bound is its value, so it stops after restart 0.
+    Results are deterministic for a fixed seed and restart count.
 
-    ``converged`` reports stagnation of the best value over the trailing
-    ``PATIENCE`` descents (or hitting ``STOP_AT``, or a pure state); it is a
-    heuristic, not a proof that the infimum was found.
+    ``converged`` reports that the best value met the lower bound within
+    ``STOP_AT``, or stagnated over the trailing ``PATIENCE`` descents; only the
+    first proves that the infimum was found.  A state whose lower bound exceeds
+    ``STOP_AT`` is entangled and gets no certificate.
     """
     if opts.restarts < 1:
         raise InvariantViolation("need at least one restart")
+    if opts.max_iters < 1:
+        raise InvariantViolation(f"max_iters must be at least 1, got {opts.max_iters}")
     if opts.seed < 0:
         raise InvariantViolation(f"seed must be non-negative, got {opts.seed}")
     spectral = spectral_pure_decomposition(rho)
@@ -330,6 +366,7 @@ def entanglement_number_mixed(
     if search_m < r:
         raise DimensionMismatch(f"m={search_m} is below the rank {r}")
     search = _DecompositionSearch(rho, spectral)
+    stop_at = search.lower + STOP_AT
     rng = np.random.default_rng(opts.seed)
 
     def gaussian(rows: int) -> np.ndarray:
@@ -338,13 +375,11 @@ def entanglement_number_mixed(
     best_v = np.eye(search_m, r, dtype=complex)
     best_val = search.objective(best_v)
     history = [best_val]
-    # every decomposition of a pure state is that state: restart 0 is the answer
-    restarts, polish_rounds = (opts.restarts, POLISH_ROUNDS) if r > 1 else (1, 0)
 
-    for k in range(1, restarts + polish_rounds):
-        if best_val <= STOP_AT:
+    for k in range(1, opts.restarts + POLISH_ROUNDS):
+        if best_val <= stop_at:
             break
-        if k < restarts:
+        if k < opts.restarts:
             live = r if k == 1 else search_m
             v0 = np.vstack([_qr_isometry(gaussian(live)),
                             np.zeros((search_m - live, r), dtype=complex)])
@@ -355,7 +390,7 @@ def entanglement_number_mixed(
             best_val, best_v = val, v
         history.append(best_val)
 
-    converged = r == 1 or best_val <= STOP_AT or (
+    converged = best_val <= stop_at or (
         len(history) > PATIENCE and history[-1 - PATIENCE] - history[-1] < STAGNATION_TOL)
 
     best = _decompose(rho, spectral, best_v)
@@ -363,10 +398,11 @@ def entanglement_number_mixed(
     # the two differ by rounding only, so value and witness agree to about 1e-15
     e = _pure_numbers(best.vectors, search.dims)
     value = min(best_val, float(best.weights.weights @ e))
-    certified = value <= SEP_THRESHOLD and np.all(e <= CERT_SCALE * math.sqrt(SEP_THRESHOLD))
+    certified = search.lower <= STOP_AT and value <= SEP_THRESHOLD and \
+        np.all(e <= CERT_SCALE * math.sqrt(SEP_THRESHOLD))
     return MixedResult(value=value, best=best, converged=converged,
                        evaluations=search.evaluations,
-                       certificate=best if certified else None)
+                       certificate=best if certified else None, lower_bound=search.lower)
 
 
 def separability_certificate(

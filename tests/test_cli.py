@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entnum import cli, mixed, verify
+from entnum import cli, mixed, operators, verify
 
 
 def write(tmp_path, name, obj):
@@ -262,16 +262,46 @@ class TestMixed:
         assert "optimized_value = 0.707106781186" in out
 
     def test_require_converged_budget_exit(self, tmp_path, capsys):
-        # 0.7 Bell + 0.3 |01>: 4 restarts leave too short a history to show stagnation
+        # a rank-2 3x3 state whose bracket stays open: 4 restarts leave too short a
+        # history to show stagnation
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        rho = g @ g.conj().T / np.vdot(g, g).real
+        result = mixed.entanglement_number_mixed(
+            operators.DensityState(rho, factor_dims=(3, 3)), mixed.OptimizerOptions(restarts=4))
+        assert result.value - result.lower_bound > 1e-3
+        path = write(tmp_path, "rho.json", cmat(rho))
+        code, _, _ = run(
+            capsys,
+            ["mixed", path, "--dims", "3", "3", "--restarts", "4", "--require-converged"],
+        )
+        assert code == 5
+
+    def test_require_converged_closed_bracket_exits_0(self, tmp_path, capsys):
+        # 0.7 Bell + 0.3 |01>: the spectral decomposition meets the lower bound
         vec = np.zeros(4)
         vec[0] = vec[3] = 2**-0.5
         e01 = np.eye(4)[1]
         path = write(tmp_path, "rho.json", cmat(0.7 * np.outer(vec, vec) + 0.3 * np.outer(e01, e01)))
-        code, _, _ = run(
+        code, out, _ = run(
             capsys,
             ["mixed", path, "--dims", "2", "2", "--restarts", "4", "--require-converged"],
         )
-        assert code == 5
+        assert code == 0
+        assert "converged = yes" in out and "objective_evaluations = 1\n" in out
+
+    def test_entangled_werner_gets_no_certificate(self, tmp_path, capsys):
+        # e = 5e-4, below SEP_THRESHOLD: only the lower bound shows it is entangled
+        p = (1 + 2 * 5e-4 * math.sqrt(2)) / 3
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
+        rho = p * np.outer(singlet, singlet) + (1 - p) / 4 * np.eye(4)
+        path = write(tmp_path, "rho.json", cmat(rho))
+        out_path = tmp_path / "cert.json"
+        code, out, _ = run(capsys, ["mixed", path, "--dims", "2", "2", "--restarts", "4",
+                                    "--out", str(out_path)])
+        assert code == 0
+        assert "certificate = no" in out and "certificate_file" not in out
+        assert not out_path.exists()
 
     def test_require_converged_pure_state_exits_0(self, tmp_path, capsys):
         # a pure state is its only decomposition, so any restart budget converges

@@ -190,6 +190,18 @@ def wootters_e(rho):
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3]) / math.sqrt(2)
 
 
+def wootters_from_factor(g):
+    """C / sqrt 2 of rho = g g* / tr(g g*) from the spin-flip form g^T (Y x Y) g of its columns.
+
+    The singular values of that form are Wootters' lambda_i for any factor g
+    (Wootters, PRL 80, 2245 (1998)); no eigendecomposition of rho is taken.
+    """
+    g = g / math.sqrt(np.vdot(g, g).real)
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    lam = np.linalg.svd(g.T @ yy @ g, compute_uv=False)
+    return max(0.0, lam[0] - lam[1:].sum()) / math.sqrt(2)
+
+
 def werner(p):
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
     return p * np.outer(singlet, singlet) + (1 - p) / 4 * np.eye(4)
@@ -436,15 +448,60 @@ class TestMixedOptimizer:
                 mx.entanglement_number_mixed(bell_with_01(), opts)
 
     def test_converged_flags(self):
-        rho = bell_with_01()
+        rho = wishart_state((3, 3), 2, np.random.default_rng(3))
         long_run = mx.entanglement_number_mixed(
             rho, mx.OptimizerOptions(restarts=40, seed=0)
         )
+        # the bracket stays open, so only stagnation can end the search converged
+        assert long_run.value - long_run.lower_bound > 1e-3
         assert long_run.converged
         short_run = mx.entanglement_number_mixed(
             rho, mx.OptimizerOptions(restarts=2, seed=0)
         )
         assert not short_run.converged
+
+    def test_closed_bracket_ends_the_search(self):
+        # the spectral decomposition of 0.7 Bell + 0.3 |01> is optimal and meets the bound
+        result = mx.entanglement_number_mixed(bell_with_01(),
+                                              mx.OptimizerOptions(restarts=4, seed=0))
+        assert result.evaluations == 1 and result.converged
+        assert result.value - result.lower_bound <= mx.STOP_AT
+
+    def test_entangled_rank2_search_stops_at_the_bound(self):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        assert wootters_from_factor(g) > 0.05
+        rho = op.DensityState(g @ g.conj().T / np.vdot(g, g).real, factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=100, seed=0))
+        assert result.converged and result.evaluations <= 500
+        assert result.value - result.lower_bound <= mx.STOP_AT
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_lower_bound_is_the_wootters_value(self, rank):
+        rng = np.random.default_rng(100 + rank)
+        for _ in range(5):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = op.DensityState(g @ g.conj().T / np.vdot(g, g).real, factor_dims=(2, 2))
+            result = mx.entanglement_number_mixed(
+                rho, mx.OptimizerOptions(restarts=1, max_iters=1, seed=0))
+            assert abs(result.lower_bound - wootters_from_factor(g)) <= 1e-12
+
+    def test_lower_bound_refuses_a_false_certificate(self):
+        # Werner with e = 5e-4: the search gets within SEP_THRESHOLD, but the bound
+        # shows the state is entangled
+        p = (1 + 2 * 5e-4 * math.sqrt(2)) / 3
+        rho = op.DensityState(werner(p), factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=4, seed=0))
+        assert result.value <= mx.SEP_THRESHOLD
+        assert result.lower_bound == pytest.approx(5e-4, abs=1e-12)
+        assert result.certificate is None
+
+    def test_rejects_max_iters_below_1(self):
+        for opts in (mx.OptimizerOptions(max_iters=-5, restarts=20),
+                     mx.OptimizerOptions(max_iters=0, restarts=2),
+                     serialize.decode_optimizer_options({"max_iters": -5})):
+            with pytest.raises(InvariantViolation, match="max_iters must be at least 1"):
+                mx.entanglement_number_mixed(bell_with_01(), opts)
 
     def test_pure_state_skips_the_search(self):
         result = mx.entanglement_number_mixed(bell_projector(),

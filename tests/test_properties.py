@@ -121,3 +121,13 @@ def test_commutator_norms_match_the_explicit_commutators(n, kind, seed):
     assert np.all(np.abs(norms - reference) <= 1e-9 * reference + 1e-13)
     assert abs(norms.max() - reference.max()) <= 1e-9 * reference.max() + 1e-13
     assert cx.is_measurable(a, ctx, tol=1e-10) == (reference.max() <= 1e-10)
+
+
+@PROPERTY
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(1, 4), SEEDS)
+def test_lower_bound_never_exceeds_the_search_value(da, db, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(da * db, rank)) + 1j * rng.normal(size=(da * db, rank))
+    rho = op.DensityState(g @ g.conj().T / np.vdot(g, g).real, factor_dims=(da, db))
+    result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, seed=0))
+    assert result.lower_bound <= result.value + 1e-12
