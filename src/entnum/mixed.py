@@ -25,6 +25,15 @@ sees the smoothed value, and every value reported is the unsmoothed one.  A
 stage ends when it stalls or when no step that passes the Armijo test lowers
 the smoothed value by more than its rounding error (``ROUNDING``).
 
+The line search tries twice the last step t, then t/2, t/4, ..., and after a
+step that backtracked the first trial mostly fails.  On small states an
+evaluation is mostly numpy and LAPACK call overhead, so while its work m s r^2
+(rows x forms x rank^2) is at most ``_SPECULATION_WORK`` the search scores t and
+t/2 as one (2, m, r) stack, one retraction and one ``terms`` call, and runs the
+Armijo test on t before t/2: every step taken is the one the one-at-a-time
+search takes, bit for bit.  ``evaluations`` counts the trial points the test
+examines; a half step scored alongside a t that passed is not counted.
+
 Each search also computes a certified lower bound from the same support forms,
 sqrt(2) sqrt(sum_p U(N_p)^2) with U(N) = max(0, s_1 - sum_{j>1} s_j) over the
 singular values of N_p (Mintert, Kus and Buchleitner, PRL 92, 167902 (2004)).
@@ -53,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -99,6 +108,12 @@ SMOOTHING = (1e-2, 1e-4, 1e-6, 1e-8)
 ROUNDING = 64 * np.finfo(float).eps
 STALL_ITERS, STALL_DROP = 30, 1e-3
 ARMIJO = 1e-4
+# While one evaluation's work m s r^2 (rows x forms x rank^2) is at most this, its
+# numpy and LAPACK call overhead outweighs the arithmetic, and the line search scores
+# the step and its first halving as one stack.  Time of full searches, speculation on
+# over off: 0.89-0.95 at 7,056 (3x3 rank 7), 0.97-1.04 at 9,216 (3x3 rank 8) and 1.30
+# at 124,416 (4x4 rank 12); README "Notes on the mixed-state search" has the table.
+_SPECULATION_WORK = 8_000
 KICK = 1e-3  # size of each polish round's kick
 
 
@@ -136,15 +151,24 @@ class OptimizerOptions:
     ``max_iters``, at least 1, caps the conjugate-gradient iterations of one descent,
     summed over its smoothing stages; ``seed``, non-negative, seeds the random starts;
     ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r))).
-    The stop, convergence and certificate rules are the module constants
-    ``STOP_AT``, ``STAGNATION_TOL``, ``PATIENCE``, ``POLISH_ROUNDS`` and
-    ``SEP_THRESHOLD``.
+    ``restarts`` below 1, ``max_iters`` below 1 and a negative ``seed`` raise
+    ``InvariantViolation`` on construction.  The stop, convergence and certificate
+    rules are the module constants ``STOP_AT``, ``STAGNATION_TOL``, ``PATIENCE``,
+    ``POLISH_ROUNDS`` and ``SEP_THRESHOLD``.
     """
 
     restarts: int = 100
     max_iters: int = 2000
     seed: int = 0
     m: Optional[int] = None
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise InvariantViolation("need at least one restart")
+        if self.max_iters < 1:
+            raise InvariantViolation(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,59 +262,91 @@ class _DecompositionSearch:
         self.evaluations = 0
 
     def terms(self, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """((y, N v), c) with y_p = v^T N_p v and the cross terms c (one evaluation)."""
-        self.evaluations += 1
-        nv = (v @ self.basis).reshape(len(v), -1, v.shape[1])
-        y = (nv @ v[:, :, None])[..., 0]
-        return (y, nv), 2.0 * np.einsum("ip,ip->i", y, y.conj()).real
+        """((y, N v), c) with y_p = v^T N_p v and the cross terms c, for an m x r isometry
+        or for each of a stack (..., m, r) of them; the caller counts the evaluations."""
+        nv = (v @ self.basis).reshape(*v.shape[:-1], -1, v.shape[-1])
+        y = (nv @ v[..., None])[..., 0]
+        return (y, nv), 2.0 * np.einsum("...p,...p->...", y, y.conj()).real
 
     def objective(self, v: np.ndarray) -> float:
         # per term: p_i * sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k)
+        self.evaluations += 1
         return float(np.sum(np.sqrt(self.terms(v)[1])))
 
-    def gradient(self, v: np.ndarray, x: tuple[np.ndarray, np.ndarray], c: np.ndarray,
-                 eps: float) -> np.ndarray:
-        """Riemannian gradient of ``_smoothed`` at v, from its ``terms`` (x, c).
+    def gradient(self, x: tuple[np.ndarray, np.ndarray], root: np.ndarray) -> np.ndarray:
+        """Euclidean gradient of ``_smoothed`` from the ``terms`` x, root = sqrt(c + eps^2).
 
-        The Euclidean gradient is (4 / sqrt(c + eps^2)) sum_p y_p conj(N_p v).
+        It is (4 / root) sum_p y_p conj(N_p v); ``_tangent`` at v gives the Riemannian one.
         """
         y, nv = x
         g = (y.conj()[:, None, :] @ nv)[:, 0].conj()
-        return _tangent(v, g * (4.0 / np.sqrt(c + eps * eps))[:, None])
+        return g * (4.0 / root)[:, None]
 
     def descend(self, v: np.ndarray, max_iters: int, stop_at: float) -> tuple[float, np.ndarray]:
-        """Conjugate gradients from v through the smoothing stages; (value, isometry) at the end."""
+        """Conjugate gradients from v through the smoothing stages; (value, isometry) at the end.
+
+        The Armijo backtracking tries t = twice the last step, then t/2, t/4, ... while
+        the predicted decrease clears the rounding floor, and takes the first t that
+        passes.  While one evaluation is overhead-bound (work m s r^2 at most
+        ``_SPECULATION_WORK``), t and t/2 are scored as one stack, and the test then runs
+        on t before t/2: every step taken is the one the one-at-a-time search takes.
+        ``evaluations`` counts the trial points the test examines, not a half step
+        scored alongside a t that passed.
+        """
+        speculate = v.size * self.basis.shape[1] <= _SPECULATION_WORK
         x, c = self.terms(v)
+        self.evaluations += 1
         value, step, iters = float(np.sum(np.sqrt(c))), 1.0, 0
         for eps in SMOOTHING:
-            f, xi = _smoothed(c, eps), self.gradient(v, x, c, eps)
+            f, root = _smoothed(c, eps)
+            f, xi = float(f), _tangent(v, self.gradient(x, root))
             d, trail = -xi, [value]
             while iters < max_iters and value > stop_at:
-                slope = np.vdot(xi, d).real
+                slope = float(np.vdot(xi, d).real)
                 if slope >= 0.0:  # not a descent direction: restart from steepest descent
-                    d, slope = -xi, -np.vdot(xi, xi).real
+                    d, slope = -xi, -float(np.vdot(xi, xi).real)
                 noise, t = ROUNDING * f, 2.0 * step
                 while -t * slope > noise:  # Armijo backtracking; a NaN ends the stage
-                    v1 = _cholesky_retraction(v + t * d)
-                    x1, c1 = self.terms(v1)
-                    f1 = _smoothed(c1, eps)
-                    if f1 <= f + ARMIJO * t * slope:
-                        break
-                    t /= 2.0
+                    half = t / 2.0
+                    steps = (t, half) if speculate and -half * slope > noise else (t,)
+                    for t, (v1, x1, c1, f1, root1) in zip(steps, self._trials(v, d, steps, eps)):
+                        self.evaluations += 1
+                        if f1 <= f + ARMIJO * t * slope:
+                            break
+                    else:  # every step of the batch failed: halve the last one
+                        t /= 2.0
+                        continue
+                    break
                 else:
                     break
-                xi1 = self.gradient(v1, x1, c1, eps)
-                # vector transport by projection onto the tangent space at v1
-                beta = max(0.0, np.vdot(xi1, xi1 - _tangent(v1, xi)).real / np.vdot(xi, xi).real)
-                d = beta * _tangent(v1, d) - xi1
-                v, x, c, f, xi, step = v1, x1, c1, f1, xi1, t
-                value = float(np.sum(np.sqrt(c)))
+                # the new gradient, and the vector transports of xi and d by projection
+                # onto the tangent space at v1
+                xi1, xi_at_v1, d_at_v1 = _tangent(v1, np.array((self.gradient(x1, root1), xi, d)))
+                beta = max(0.0, float(np.vdot(xi1, xi1 - xi_at_v1).real)
+                           / float(np.vdot(xi, xi).real))
+                d = beta * d_at_v1 - xi1
+                v, x, c, f, xi, step = v1, x1, c1, float(f1), xi1, t
+                value = float(np.sqrt(c).sum())
                 iters += 1
                 trail.append(value)
                 if len(trail) > STALL_ITERS and \
                         value > (1.0 - STALL_DROP) * trail[-1 - STALL_ITERS]:
                     break
         return value, v
+
+    def _trials(self, v: np.ndarray, d: np.ndarray, steps: tuple[float, ...],
+                eps: float) -> Iterable[tuple]:
+        """(isometry, terms, c, smoothed value, sqrt(c + eps^2)) at the retraction of v + t d
+        for each t in steps.  Two steps are scored as one (2, m, r) stack: one retraction
+        and one ``terms`` call.  A single step stays 2-D: a one-slice stack costs 2 to 5 %
+        more per evaluation."""
+        if len(steps) == 1:
+            v1 = _cholesky_retraction(v + steps[0] * d)
+            x1, c1 = self.terms(v1)
+            return [(v1, x1, c1, *_smoothed(c1, eps))]
+        vs = _cholesky_retraction(v + np.array(steps)[:, None, None] * d)
+        (ys, nvs), cs = self.terms(vs)
+        return zip(vs, zip(ys, nvs), cs, *_smoothed(cs, eps))
 
 
 def _support_forms(rows: np.ndarray, minors: np.ndarray) -> np.ndarray:
@@ -315,22 +371,29 @@ def _support_forms(rows: np.ndarray, minors: np.ndarray) -> np.ndarray:
 def _cholesky_retraction(z: np.ndarray) -> np.ndarray:
     """Q factor of z, as ``_qr_isometry``, by Cholesky QR: z L^-H with L L^H = z^H z.
 
-    For z = v + t d with v an isometry and d tangent there, z^H z = 1 + t^2 d^H d has
-    no eigenvalue below 1, so the Gram matrix is well conditioned; zero rows of z stay
-    exactly zero.
+    z is one m x r matrix or a stack (..., m, r) of them.  For z = v + t d with v an
+    isometry and d tangent there, z^H z = 1 + t^2 d^H d has no eigenvalue below 1, so
+    the Gram matrix is well conditioned; zero rows of z stay exactly zero.
     """
-    return z @ np.linalg.inv(np.linalg.cholesky(z.conj().T @ z)).conj().T
+    gram = z.conj().swapaxes(-1, -2) @ z
+    return z @ np.linalg.inv(np.linalg.cholesky(gram)).conj().swapaxes(-1, -2)
 
 
-def _smoothed(c: np.ndarray, eps: float) -> float:
-    """sum sqrt(c + eps^2) - eps, in a form that does not cancel for c << eps^2."""
-    return float(np.sum(c / (np.sqrt(c + eps * eps) + eps)))
+def _smoothed(c: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sum sqrt(c + eps^2) - eps over the last axis, sqrt(c + eps^2)).
+
+    The sum is taken as sum c / (sqrt(c + eps^2) + eps), which does not cancel for
+    c << eps^2; the root is the gradient's scale.
+    """
+    root = np.sqrt(c + eps * eps)
+    return (c / (root + eps)).sum(axis=-1), root
 
 
 def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Projection of z onto the tangent space of the isometries at v: z - v herm(v* z)."""
+    """Projection of z, or of each of a stack (..., m, r), onto the tangent space of the
+    isometries at v: z - v herm(v* z)."""
     vz = v.conj().T @ z
-    return z - v @ ((vz + vz.conj().T) / 2.0)
+    return z - v @ ((vz + vz.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def entanglement_number_mixed(
@@ -354,12 +417,6 @@ def entanglement_number_mixed(
     first proves that the infimum was found.  A state whose lower bound exceeds
     ``STOP_AT`` is entangled and gets no certificate.
     """
-    if opts.restarts < 1:
-        raise InvariantViolation("need at least one restart")
-    if opts.max_iters < 1:
-        raise InvariantViolation(f"max_iters must be at least 1, got {opts.max_iters}")
-    if opts.seed < 0:
-        raise InvariantViolation(f"seed must be non-negative, got {opts.seed}")
     spectral = spectral_pure_decomposition(rho)
     r = len(spectral)
     search_m = min(r * r, max(16, 2 * r)) if opts.m is None else opts.m

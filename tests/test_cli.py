@@ -330,6 +330,12 @@ class TestMixed:
         assert code == 3
         assert out == "" and "seed must be non-negative" in err
 
+    def test_zero_restarts_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "rho.json", cmat(np.eye(4) / 4))
+        code, out, err = run(capsys, ["mixed", path, "--dims", "2", "2", "--restarts", "0"])
+        assert code == 3
+        assert out == "" and "need at least one restart" in err
+
 
 class TestVerifyPaper:
     def test_single_check(self, capsys):

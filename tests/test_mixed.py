@@ -207,6 +207,69 @@ def werner(p):
     return p * np.outer(singlet, singlet) + (1 - p) / 4 * np.eye(4)
 
 
+def werner_dd(d, fidelity):
+    """Werner state on d x d: weight fidelity on the antisymmetric subspace."""
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    anti, sym = (np.eye(d * d) - swap) / 2, (np.eye(d * d) + swap) / 2
+    return fidelity * anti / np.trace(anti) + (1 - fidelity) * sym / np.trace(sym)
+
+
+def isotropic(d, fidelity):
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    proj = np.outer(phi, phi)
+    return fidelity * proj + (1 - fidelity) * (np.eye(d * d) - proj) / (d * d - 1)
+
+
+def unit_vector(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def dirichlet_mixture(seed, terms, product):
+    """Two-qubit Dirichlet mixture of random product (or pure) states."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(terms))
+    vecs = (np.kron(unit_vector(rng, 2), unit_vector(rng, 2)) if product else unit_vector(rng, 4)
+            for _ in w)
+    return sum(wi * np.outer(x, x.conj()) for wi, x in zip(w, vecs))
+
+
+def rank2_mixture(dims, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (unit_vector(rng, dims[0] * dims[1]) for _ in range(2))
+    return 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
+
+
+def highrank_options(seed):
+    return mx.OptimizerOptions(restarts=2, max_iters=500, seed=seed)
+
+
+# (matrix, dims, options) of every state the line-search tests run with and
+# without speculation; the first six are the benchmark's ``mixed-highrank`` states
+SPECULATION_PANEL = {
+    "wishart89": lambda: (op.random_density(4, np.random.default_rng(89)).mat, (2, 2),
+                          highrank_options(0)),
+    "werner0.8": lambda: (werner(0.8), (2, 2), highrank_options(1)),
+    "werner0.3": lambda: (werner(0.3), (2, 2), highrank_options(2)),
+    "products4": lambda: (dirichlet_mixture(41, 4, True), (2, 2), highrank_options(3)),
+    "products3": lambda: (dirichlet_mixture(31, 3, True), (2, 2), highrank_options(4)),
+    "pure-mix3": lambda: (dirichlet_mixture(32, 3, False), (2, 2), highrank_options(5)),
+    "rank2-2x2": lambda: (rank2_mixture((2, 2), 11), (2, 2),
+                          mx.OptimizerOptions(restarts=4, seed=1)),
+    "rank2-2x3": lambda: (rank2_mixture((2, 3), 12), (2, 3),
+                          mx.OptimizerOptions(restarts=4, seed=2)),
+    "rank2-3x3": lambda: (rank2_mixture((3, 3), 13), (3, 3),
+                          mx.OptimizerOptions(restarts=4, seed=3)),
+    # stall-limited, so the most sensitive to rounding
+    "wishart-3x3-rank5": lambda: (wishart_state((3, 3), 5, np.random.default_rng(12)).mat, (3, 3),
+                                  mx.OptimizerOptions(restarts=2, seed=1)),
+    "werner-3x3-0.8": lambda: (werner_dd(3, 0.8), (3, 3), mx.OptimizerOptions(restarts=3, seed=0)),
+    # m s r^2 = 294,912, far above the default threshold
+    "isotropic-4x4-0.6": lambda: (isotropic(4, 0.6), (4, 4),
+                                  mx.OptimizerOptions(restarts=2, seed=0)),
+}
+
+
 def haar_isometry(m, r, rng):
     return mx._qr_isometry(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
 
@@ -277,7 +340,7 @@ class TestSearchKernel:
         norm2 = np.sum(np.abs(x3) ** 2, axis=(1, 2))[:, None, None]
         dc = 2.0 * (norm2 * x3 - x3 @ x3.conj().transpose(0, 2, 1) @ x3)
         for eps in (1e-2, 1e-8):
-            got = search.gradient(v, x, c, eps)
+            got = mx._tangent(v, search.gradient(x, np.sqrt(c + eps * eps)))
             want = mx._tangent(v, (dc / np.sqrt(c + eps * eps)[:, None, None]).reshape(w.shape)
                                @ rows.conj().T)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -290,9 +353,10 @@ class TestSearchKernel:
         eps, h = 1e-2, 1e-6
 
         def f(t):
-            return mx._smoothed(search.terms(mx._qr_isometry(v + t * z))[1], eps)
+            return mx._smoothed(search.terms(mx._qr_isometry(v + t * z))[1], eps)[0]
 
-        grad = search.gradient(v, *search.terms(v), eps)
+        x, c = search.terms(v)
+        grad = mx._tangent(v, search.gradient(x, np.sqrt(c + eps * eps)))
         slope = np.vdot(grad, z).real
         assert (f(h) - f(-h)) / (2 * h) == pytest.approx(slope, rel=1e-6)
 
@@ -383,10 +447,7 @@ class TestMixedOptimizer:
 
     def test_default_m_reaches_full_rank_isotropic_value(self):
         d, fidelity = 4, 0.5
-        phi = np.eye(d).reshape(-1) / math.sqrt(d)
-        proj = np.outer(phi, phi)
-        mat = fidelity * proj + (1 - fidelity) * (np.eye(d * d) - proj) / (d * d - 1)
-        rho = op.DensityState(mat, factor_dims=(d, d))
+        rho = op.DensityState(isotropic(d, fidelity), factor_dims=(d, d))
         result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, seed=0))
         assert result.value == pytest.approx(math.sqrt(d / (d - 1)) * (fidelity - 1 / d),
                                              abs=1e-4)
@@ -441,11 +502,11 @@ class TestMixedOptimizer:
             mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, m=2))
 
     def test_rejects_negative_seed(self):
-        # numpy's generator refuses a negative seed; the search says so as an invariant
-        for opts in (mx.OptimizerOptions(restarts=2, seed=-1),
-                     serialize.decode_optimizer_options({"seed": -4})):
+        # numpy's generator refuses a negative seed; the options say so as an invariant
+        for make in (lambda: mx.OptimizerOptions(restarts=2, seed=-1),
+                     lambda: serialize.decode_optimizer_options({"seed": -4})):
             with pytest.raises(InvariantViolation, match="seed must be non-negative"):
-                mx.entanglement_number_mixed(bell_with_01(), opts)
+                mx.entanglement_number_mixed(bell_with_01(), make())
 
     def test_converged_flags(self):
         rho = wishart_state((3, 3), 2, np.random.default_rng(3))
@@ -497,11 +558,20 @@ class TestMixedOptimizer:
         assert result.certificate is None
 
     def test_rejects_max_iters_below_1(self):
-        for opts in (mx.OptimizerOptions(max_iters=-5, restarts=20),
-                     mx.OptimizerOptions(max_iters=0, restarts=2),
-                     serialize.decode_optimizer_options({"max_iters": -5})):
+        for make in (lambda: mx.OptimizerOptions(max_iters=-5, restarts=20),
+                     lambda: mx.OptimizerOptions(max_iters=0, restarts=2),
+                     lambda: serialize.decode_optimizer_options({"max_iters": -5})):
             with pytest.raises(InvariantViolation, match="max_iters must be at least 1"):
-                mx.entanglement_number_mixed(bell_with_01(), opts)
+                mx.entanglement_number_mixed(bell_with_01(), make())
+
+    def test_options_refuse_invalid_values_on_construction(self):
+        for obj, message in (({"restarts": 0}, "need at least one restart"),
+                             ({"seed": -4}, "seed must be non-negative"),
+                             ({"max_iters": -5}, "max_iters must be at least 1")):
+            with pytest.raises(InvariantViolation, match=message):
+                mx.OptimizerOptions(**obj)
+            with pytest.raises(InvariantViolation, match=message):
+                serialize.decode_optimizer_options(obj)
 
     def test_pure_state_skips_the_search(self):
         result = mx.entanglement_number_mixed(bell_projector(),
@@ -535,9 +605,68 @@ class TestMixedOptimizer:
             assert search.evaluations <= 2
             # a finite value with a NaN gradient: the floor test itself must end each stage
             search.basis, search.evaluations = finite_basis, 0
-            search.gradient = lambda v, x, c, eps: np.full_like(v, np.nan)
+            search.gradient = lambda x, root: np.full_like(v, np.nan)
             search.descend(v, 500, 0.0)
             assert search.evaluations <= 2
+
+
+class TestSpeculativeLineSearch:
+    """Scoring the Armijo step t and its halving t/2 as one stack changes no answer."""
+
+    @pytest.mark.parametrize("name", list(SPECULATION_PANEL))
+    def test_speculation_is_bit_identical(self, name, monkeypatch):
+        mat, dims, opts = SPECULATION_PANEL[name]()
+        rho = op.DensityState(mat, factor_dims=dims)
+        runs = []
+        for work in (0, 10**12):  # never speculate, always speculate
+            monkeypatch.setattr(mx, "_SPECULATION_WORK", work)
+            runs.append(mx.entanglement_number_mixed(rho, opts))
+        never, always = runs
+        assert float.hex(always.value) == float.hex(never.value)
+        assert always.evaluations == never.evaluations
+        assert always.converged == never.converged
+        assert always.best.vectors.tobytes() == never.best.vectors.tobytes()
+
+    def test_half_steps_share_a_call(self, monkeypatch):
+        # a pair whose t fails is two evaluations in one ``terms`` call
+        calls = []
+        terms = mx._DecompositionSearch.terms
+
+        def counting(search, v):
+            calls.append(v.ndim)
+            return terms(search, v)
+
+        monkeypatch.setattr(mx._DecompositionSearch, "terms", counting)
+        rho = op.DensityState(werner(0.8), factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(
+            rho, mx.OptimizerOptions(restarts=2, max_iters=500, seed=1))
+        assert 3 in calls
+        assert len(calls) < result.evaluations
+
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 5), ((4, 4), 16)])
+    def test_stacked_kernels_match_each_slice(self, dims, rank):
+        rng = np.random.default_rng(101)
+        rho = wishart_state(dims, rank, rng)
+        search = mx._DecompositionSearch(rho, mx.spectral_pure_decomposition(rho))
+        v = haar_isometry(2 * rank, rank, rng)
+        d = mx._tangent(v, rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
+        steps = (0.3, 0.15)
+        z = v + np.array(steps)[:, None, None] * d
+        stacked = mx._cholesky_retraction(z)
+        (ys, nvs), cs = search.terms(stacked)
+        fs, roots = mx._smoothed(cs, 1e-4)
+        projected = mx._tangent(v, z)
+        for k, t in enumerate(steps):
+            assert z[k].tobytes() == (v + t * d).tobytes()
+            q = mx._cholesky_retraction(v + t * d)
+            assert stacked[k].tobytes() == q.tobytes()
+            (y, nv), c = search.terms(q)
+            assert ys[k].tobytes() == y.tobytes() and nvs[k].tobytes() == nv.tobytes()
+            assert cs[k].tobytes() == c.tobytes()
+            f, root = mx._smoothed(c, 1e-4)
+            assert float.hex(float(fs[k])) == float.hex(float(f))
+            assert roots[k].tobytes() == root.tobytes()
+            assert projected[k].tobytes() == mx._tangent(v, z[k]).tobytes()
 
 
 class TestSeparabilityCertificate:
