@@ -31,8 +31,19 @@ evaluation is mostly numpy and LAPACK call overhead, so while its work m s r^2
 (rows x forms x rank^2) is at most ``_SPECULATION_WORK`` the search scores t and
 t/2 as one (2, m, r) stack, one retraction and one ``terms`` call, and runs the
 Armijo test on t before t/2: every step taken is the one the one-at-a-time
-search takes, bit for bit.  ``evaluations`` counts the trial points the test
-examines; a half step scored alongside a t that passed is not counted.
+search takes, bit for bit.
+
+Near a separable decomposition the smoothed objective is the zero-residual least
+squares sum_ip |v_i^T N_p v_i|^2 / eps, whose minimizers form a continuum, and
+conjugate gradients converge on it only linearly.  Once a descent's value is at
+most ``SEP_THRESHOLD``, it tries a Levenberg-Marquardt step on the tangent space
+before each iteration, damped by mu = ||y||^2 (Yamashita and Fukushima, Computing
+Suppl. 15, 239 (2001)), which converges quadratically there although the zeros
+are not isolated.  The step is taken when it at least halves the value; a state
+known to be entangled never tries one, so its searches are the conjugate-gradient
+ones bit for bit.  ``evaluations`` counts the trial points the Armijo test
+examines and every LM step scored; a half step scored alongside a t that passed
+is not counted.
 
 Each search also computes a certified lower bound from the same support forms,
 sqrt(2) sqrt(sum_p U(N_p)^2) with U(N) = max(0, s_1 - sum_{j>1} s_j) over the
@@ -54,8 +65,9 @@ certificate are scored by ``bipartite._pure_numbers`` on the rebuilt vectors,
 so a search is never checked by its own kernel.
 
 ``MixedResult.certificate`` is the best decomposition when it passes the
-certificate test and the lower bound does not exceed ``STOP_AT``;
-``separability_certificate`` runs a full search of its own.
+certificate test, the lower bound does not exceed ``STOP_AT`` and the partial
+transpose of rho is positive within ``PPT_TOL``; ``separability_certificate`` runs
+a full search of its own.
 """
 
 from __future__ import annotations
@@ -68,7 +80,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .measures import ProbMeasure
-from .operators import DensityState, hermitian_eigen, Operator, _check_unit, _intake, _qr_isometry
+from .operators import (DensityState, hermitian_eigen, Operator, PSD_TOL, _check_unit, _intake,
+                        _qr_isometry)
 from .bipartite import _minor_positions, _pure_numbers
 
 
@@ -91,6 +104,11 @@ RECONSTRUCTION_TOL = 1e-9
 # entanglement.
 SEP_THRESHOLD = 1e-3
 CERT_SCALE = 1.5
+# A state whose partial transpose has an eigenvalue below -PPT_TOL is entangled (Peres,
+# PRL 77, 1413 (1996)) and gets no certificate.  The tolerance is the one rho's own
+# eigenvalues get: separable states read -1.5e-16 and above (Example 9, rank-2 product
+# mixtures), Werner states 3x3 and 4x4 with e = 5e-5 to 5e-4 read -1.8e-5 to -2.4e-4.
+PPT_TOL = PSD_TOL
 # A descent ends once its value falls to STOP_AT, three orders below SEP_THRESHOLD,
 # so early stops never affect certificate decisions; the restart loop ends once the
 # best value is within STOP_AT of the search's lower bound.  A state whose lower
@@ -148,8 +166,8 @@ class OptimizerOptions:
     """Settings of the decomposition search.
 
     ``restarts`` counts the spectral start, the r-term start and random starts;
-    ``max_iters``, at least 1, caps the conjugate-gradient iterations of one descent,
-    summed over its smoothing stages; ``seed``, non-negative, seeds the random starts;
+    ``max_iters``, at least 1, caps the iterations of one descent, conjugate-gradient
+    and Levenberg-Marquardt steps alike, summed over its smoothing stages; ``seed``, non-negative, seeds the random starts;
     ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r))).
     ``restarts`` below 1, ``max_iters`` below 1 and a negative ``seed`` raise
     ``InvariantViolation`` on construction.  The stop, convergence and certificate
@@ -248,6 +266,11 @@ class _DecompositionSearch:
     and sum_i |v_i^T N v_i| >= U(N) for every isometry (Uhlmann, PRA 62, 032307
     (2000)).  On two qubits there is one form, and the bound is Wootters' C / sqrt(2)
     (PRL 80, 2245 (1998)), the exact value.
+
+    ``entangled`` is True when ``lower`` exceeds ``STOP_AT`` or the partial transpose
+    of rho has an eigenvalue below -``PPT_TOL`` (Peres, PRL 77, 1413 (1996)).  Either
+    proves that no decomposition scores 0, so such a state gets no certificate and
+    its descents try no Levenberg-Marquardt step.
     """
 
     def __init__(self, rho: DensityState, spectral: PureDecomposition):
@@ -258,6 +281,7 @@ class _DecompositionSearch:
         sv = np.linalg.svd(forms, compute_uv=False)
         uhlmann = np.maximum(0.0, sv[:, 0] - sv[:, 1:].sum(axis=1))
         self.lower = math.sqrt(2.0) * float(np.linalg.norm(uhlmann))
+        self.entangled = self.lower > STOP_AT or not _is_ppt(rho)
         self.basis = forms.transpose(1, 0, 2).reshape(len(rows), -1)
         self.evaluations = 0
 
@@ -282,6 +306,48 @@ class _DecompositionSearch:
         g = (y.conj()[:, None, :] @ nv)[:, 0].conj()
         return g * (4.0 / root)[:, None]
 
+    def lm_step(self, v: np.ndarray, x: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Levenberg-Marquardt step on the tangent space at v, from its ``terms`` x = (y, N v).
+
+        Row i's residuals y_ip = v_i^T N_p v_i move by xi_i a_i to first order, with a_i
+        the r x s matrix of columns 2 N_p v_i.  The step minimizes sum_i ||y_i + xi_i a_i||^2
+        + mu ||xi||^2 with mu = ||y||^2 (Yamashita and Fukushima, Computing Suppl. 15, 239
+        (2001)) over the xi with herm(v* xi) = 0.  Per row, xi_i = -(y_i a_i^* + v_i nu) K_i
+        with K_i = (a_i a_i^* + mu)^-1, and the Hermitian multiplier nu solves
+        herm(sum_i v_i^* v_i nu K_i) = herm(sum_i v_i^* xi0_i), xi0 the step at nu = 0.  That
+        map is positive definite on the Hermitian matrices for mu > 0.  In the coordinates
+        Re nu + Im nu, a real r x r matrix that determines nu, it is a real symmetric
+        r^2 x r^2 system.  A zero row of v gets a zero step.
+        """
+        y, nv = x
+        m, r = v.shape
+        mu = float(np.vdot(y, y).real)
+        # a_i = u_i diag(sv_i) wh_i with u_i r x r; forming a_i a_i^* + mu would lose the
+        # directions of a_i's null space once mu is below rounding, so K_i is built from sv
+        u, sv, wh = np.linalg.svd(2.0 * nv.swapaxes(-1, -2), full_matrices=nv.shape[1] < r)
+        n_sv = sv.shape[-1]
+        xi0 = -((y[:, None, :] @ wh.conj().swapaxes(-1, -2)) * (sv / (sv * sv + mu))[:, None, :]
+                @ u[:, :, :n_sv].conj().swapaxes(-1, -2))[:, 0]
+        # mk_i = mu K_i = u_i diag(mu / (sv_i^2 + mu)) u_i^*, sv padded with zeros to r, and
+        # nu below is the multiplier over mu: both stay of order 1 where a_i has a null space
+        scale = np.ones((m, r))
+        scale[:, :n_sv] = mu / (sv * sv + mu)
+        mk = (u * scale[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        # w[a, b, c, d] = sum_i conj(v_ia) v_ib mk_i[c, d], one (r^2 x m) @ (m x r^2) product.
+        # For Hermitian nu, herm(sum_i v_i^* v_i nu mk_i)[a, d] = sum_bc (w[a, b, c, d] +
+        # w[c, d, a, b]) nu_bc / 2; the real and imaginary parts of that kernel, with
+        # nu = sym(R) + i asym(R), give the system on R.
+        w = ((v.conj()[:, :, None] * v[:, None, :]).reshape(m, -1).T
+             @ mk.reshape(m, -1)).reshape(r, r, r, r)
+        re, im = w.real, w.imag
+        system = (re.transpose(0, 3, 1, 2) + re.transpose(2, 1, 3, 0)
+                  + im.transpose(0, 3, 2, 1) + im.transpose(2, 1, 0, 3)).reshape(r * r, -1)
+        vx = v.conj().T @ xi0
+        vx = vx + vx.conj().T
+        q = np.linalg.solve(system, (vx.real + vx.imag).reshape(-1)).reshape(r, r)
+        nu = (q + q.T) / 2.0 + 0.5j * (q - q.T)
+        return xi0 - ((v @ nu)[:, None, :] @ mk)[:, 0]
+
     def descend(self, v: np.ndarray, max_iters: int, stop_at: float) -> tuple[float, np.ndarray]:
         """Conjugate gradients from v through the smoothing stages; (value, isometry) at the end.
 
@@ -290,18 +356,41 @@ class _DecompositionSearch:
         passes.  While one evaluation is overhead-bound (work m s r^2 at most
         ``_SPECULATION_WORK``), t and t/2 are scored as one stack, and the test then runs
         on t before t/2: every step taken is the one the one-at-a-time search takes.
-        ``evaluations`` counts the trial points the test examines, not a half step
-        scored alongside a t that passed.
+
+        Once the value is at most ``SEP_THRESHOLD``, the descent is heading for a zero
+        of the residuals y, where conjugate gradients converge only linearly.  Before
+        each iteration it then tries the Levenberg-Marquardt step of ``lm_step``,
+        retracted and scored as one evaluation, and takes it when the value at least
+        halves; conjugate gradients restart from steepest descent there.  A rejected
+        step, or one that fails in LAPACK or scores NaN, leaves the iteration to
+        conjugate gradients, and the next try waits until they have lowered the value
+        tenfold.  A descent whose value stays above ``SEP_THRESHOLD``, or of a state
+        known to be ``entangled``, never tries one.
+        An accepted step counts as one of the ``max_iters`` iterations.
+        ``evaluations`` counts the trial points the Armijo test examines, not a half
+        step scored alongside a t that passed, and every LM step scored.
         """
         speculate = v.size * self.basis.shape[1] <= _SPECULATION_WORK
         x, c = self.terms(v)
         self.evaluations += 1
         value, step, iters = float(np.sum(np.sqrt(c))), 1.0, 0
+        lm_at = 0.0 if self.entangled else SEP_THRESHOLD  # the value that triggers LM
         for eps in SMOOTHING:
             f, root = _smoothed(c, eps)
             f, xi = float(f), _tangent(v, self.gradient(x, root))
             d, trail = -xi, [value]
             while iters < max_iters and value > stop_at:
+                if value <= lm_at:
+                    trial = self._lm_trial(v, x)
+                    if trial is not None and trial[3] <= value / 2.0:  # a NaN fails
+                        v, x, c, value = trial
+                        f, root = _smoothed(c, eps)
+                        f, xi = float(f), _tangent(v, self.gradient(x, root))
+                        d = -xi
+                        iters += 1
+                        trail.append(value)
+                        continue
+                    lm_at = value / 10.0
                 slope = float(np.vdot(xi, d).real)
                 if slope >= 0.0:  # not a descent direction: restart from steepest descent
                     d, slope = -xi, -float(np.vdot(xi, xi).real)
@@ -333,6 +422,17 @@ class _DecompositionSearch:
                         value > (1.0 - STALL_DROP) * trail[-1 - STALL_ITERS]:
                     break
         return value, v
+
+    def _lm_trial(self, v: np.ndarray, x: tuple[np.ndarray, np.ndarray]) -> Optional[tuple]:
+        """(isometry, terms, c, value) at the retraction of v + ``lm_step(v, x)``, scored as
+        one evaluation, or None when LAPACK fails on the step."""
+        try:
+            v1 = _cholesky_retraction(v + self.lm_step(v, x))
+        except np.linalg.LinAlgError:
+            return None
+        x1, c1 = self.terms(v1)
+        self.evaluations += 1
+        return v1, x1, c1, float(np.sqrt(c1).sum())
 
     def _trials(self, v: np.ndarray, d: np.ndarray, steps: tuple[float, ...],
                 eps: float) -> Iterable[tuple]:
@@ -415,7 +515,8 @@ def entanglement_number_mixed(
     ``converged`` reports that the best value met the lower bound within
     ``STOP_AT``, or stagnated over the trailing ``PATIENCE`` descents; only the
     first proves that the infimum was found.  A state whose lower bound exceeds
-    ``STOP_AT`` is entangled and gets no certificate.
+    ``STOP_AT``, or whose partial transpose has an eigenvalue below -``PPT_TOL``, is
+    entangled and gets no certificate.
     """
     spectral = spectral_pure_decomposition(rho)
     r = len(spectral)
@@ -455,11 +556,18 @@ def entanglement_number_mixed(
     # the two differ by rounding only, so value and witness agree to about 1e-15
     e = _pure_numbers(best.vectors, search.dims)
     value = min(best_val, float(best.weights.weights @ e))
-    certified = search.lower <= STOP_AT and value <= SEP_THRESHOLD and \
+    certified = not search.entangled and value <= SEP_THRESHOLD and \
         np.all(e <= CERT_SCALE * math.sqrt(SEP_THRESHOLD))
     return MixedResult(value=value, best=best, converged=converged,
                        evaluations=search.evaluations,
                        certificate=best if certified else None, lower_bound=search.lower)
+
+
+def _is_ppt(rho: DensityState) -> bool:
+    """True when no eigenvalue of the partial transpose of rho is below -``PPT_TOL``."""
+    da, db = rho.factor_dims
+    pt = rho.mat.reshape(da, db, da, db).swapaxes(1, 3).reshape(da * db, -1)
+    return float(np.linalg.eigvalsh(pt)[0]) >= -PPT_TOL
 
 
 def separability_certificate(
@@ -469,8 +577,10 @@ def separability_certificate(
 
     Runs a full search and returns its ``certificate``: the best decomposition
     if its value is at most ``SEP_THRESHOLD`` and every vector in it has pure
-    entanglement number at most CERT_SCALE * sqrt(SEP_THRESHOLD).  Returning
-    None proves nothing: the search may simply have missed a good decomposition.
+    entanglement number at most CERT_SCALE * sqrt(SEP_THRESHOLD), on a state not
+    shown entangled by the lower bound or the partial transpose.  Returning None
+    proves nothing when neither shows it: the search may simply have missed a good
+    decomposition.
     """
     return entanglement_number_mixed(rho, opts).certificate
 

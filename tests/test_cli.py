@@ -303,6 +303,23 @@ class TestMixed:
         assert "certificate = no" in out and "certificate_file" not in out
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("e", [5e-4, 2e-4, 5e-5])
+    def test_npt_werner_gets_no_certificate(self, tmp_path, capsys, d, e):
+        # antisymmetric weight 1/2 + e/sqrt(2): the lower bound is 0 above 2x2, and only
+        # the partial transpose shows the state is entangled
+        swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+        anti, sym = (np.eye(d * d) - swap) / 2, (np.eye(d * d) + swap) / 2
+        weight = 0.5 + e / math.sqrt(2)
+        rho = weight * anti / np.trace(anti) + (1 - weight) * sym / np.trace(sym)
+        path = write(tmp_path, "rho.json", cmat(rho))
+        out_path = tmp_path / "cert.json"
+        code, out, _ = run(capsys, ["mixed", path, "--dims", str(d), str(d), "--restarts", "2",
+                                    "--out", str(out_path)])
+        assert code == 0
+        assert "certificate = no" in out and "certificate_file" not in out
+        assert not out_path.exists()
+
     def test_require_converged_pure_state_exits_0(self, tmp_path, capsys):
         # a pure state is its only decomposition, so any restart budget converges
         vec = np.zeros(4)

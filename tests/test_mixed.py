@@ -29,6 +29,20 @@ def bell_projector():
     return op.DensityState(np.outer(vec, vec.conj()), factor_dims=(2, 2))
 
 
+def example9_product_isometry(spectral):
+    """The 2 x 2 isometry that maps the spectral frame of Example 9 onto its product
+    decomposition (|hh><hh| + |00><00|) / 2."""
+    h = np.array([1.0, 1.0]) / math.sqrt(2)
+    targets = [np.kron(h, h), np.array([1.0, 0, 0, 0])]
+    mu = spectral.weights.weights
+    v = np.zeros((2, 2), dtype=complex)
+    for i, t in enumerate(targets):
+        w = math.sqrt(0.5) * t
+        for j in range(2):
+            v[i, j] = np.vdot(spectral.vectors[j], w) / math.sqrt(mu[j])
+    return v
+
+
 class TestSpectralDecomposition:
     def test_pure_state(self):
         rng = np.random.default_rng(80)
@@ -83,17 +97,10 @@ class TestDecompositionFromParam:
             assert abs(np.vdot(got, want)) == pytest.approx(1.0, abs=1e-10)
 
     def test_recovers_defining_separable_decomposition(self):
-        # derive the isometry mapping the spectral frame onto the known
-        # product decomposition, then confirm it scores (numerically) zero
+        # the isometry mapping the spectral frame onto the known product decomposition
+        # scores (numerically) zero
         rho, spectral = mx.separable_with_entangled_spectrum()
-        h = np.array([1.0, 1.0]) / math.sqrt(2)
-        targets = [np.kron(h, h), np.array([1.0, 0, 0, 0])]
-        mu = spectral.weights.weights
-        v = np.zeros((2, 2), dtype=complex)
-        for i, t in enumerate(targets):
-            w = math.sqrt(0.5) * t
-            for j in range(2):
-                v[i, j] = np.vdot(spectral.vectors[j], w) / math.sqrt(mu[j])
+        v = example9_product_isometry(spectral)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
         d = mx._decompose(rho, spectral, v)
         np.testing.assert_allclose(d.weights.weights, [0.5, 0.5], atol=1e-10)
@@ -288,6 +295,15 @@ def search_and_start(dims, rng):
     spectral = mx.spectral_pure_decomposition(rho)
     r = len(spectral)
     return rho, mx._DecompositionSearch(rho, spectral), haar_isometry(2 * r, r, rng)
+
+
+def near_separable_start(size, rng):
+    """Search over Example 9, and a 4 x 2 isometry about size away from its product
+    decomposition padded with two zero rows."""
+    rho, spectral = mx.separable_with_entangled_spectrum()
+    v = np.vstack([example9_product_isometry(spectral), np.zeros((2, 2))])
+    kick = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+    return mx._DecompositionSearch(rho, spectral), mx._qr_isometry(v + size * kick)
 
 
 class TestSearchKernel:
@@ -557,6 +573,20 @@ class TestMixedOptimizer:
         assert result.lower_bound == pytest.approx(5e-4, abs=1e-12)
         assert result.certificate is None
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("e", [5e-4, 2e-4, 5e-5])
+    def test_npt_states_get_no_certificate(self, d, e):
+        # Werner above 2x2: the lower bound is 0 and the best decomposition passes the
+        # value and per-vector tests, but the partial transpose is not positive
+        rho = op.DensityState(werner_dd(d, 0.5 + e / math.sqrt(2)), factor_dims=(d, d))
+        result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=2, seed=0))
+        assert result.lower_bound <= mx.STOP_AT and result.value <= mx.SEP_THRESHOLD
+        assert np.all(bp._pure_numbers(result.best.vectors, (d, d))
+                      <= mx.CERT_SCALE * math.sqrt(mx.SEP_THRESHOLD))
+        pt = rho.mat.reshape(d, d, d, d).swapaxes(1, 3).reshape(d * d, -1)
+        assert np.linalg.eigvalsh(pt)[0] < -1e-5
+        assert result.certificate is None
+
     def test_rejects_max_iters_below_1(self):
         for make in (lambda: mx.OptimizerOptions(max_iters=-5, restarts=20),
                      lambda: mx.OptimizerOptions(max_iters=0, restarts=2),
@@ -608,6 +638,15 @@ class TestMixedOptimizer:
             search.gradient = lambda x, root: np.full_like(v, np.nan)
             search.descend(v, 500, 0.0)
             assert search.evaluations <= 2
+        # below SEP_THRESHOLD the LM steps need no gradient; once they stop halving the
+        # value, the NaN gradient ends each stage
+        search, v = near_separable_start(1e-4, rng)
+        start = search.objective(v)
+        assert start <= mx.SEP_THRESHOLD
+        search.gradient = lambda x, root: np.full_like(v, np.nan)
+        search.evaluations = 0
+        value, _ = search.descend(v, 500, 0.0)
+        assert value < start and search.evaluations <= 10
 
 
 class TestSpeculativeLineSearch:
@@ -667,6 +706,119 @@ class TestSpeculativeLineSearch:
             assert float.hex(float(fs[k])) == float.hex(float(f))
             assert roots[k].tobytes() == root.tobytes()
             assert projected[k].tobytes() == mx._tangent(v, z[k]).tobytes()
+
+
+def lm_reference(search, v):
+    """The Levenberg-Marquardt step by brute force: the damped least squares over an
+    orthonormal real basis of the tangent space at v, solved by ``lstsq``."""
+    (y, nv), _ = search.terms(v)
+    m, r = v.shape
+    n = m * r
+
+    def unpack(t):
+        return (t[:n] + 1j * t[n:]).reshape(m, r)
+
+    def pack(z):
+        return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+    eye = np.eye(2 * n)
+    u, sv, _ = np.linalg.svd(np.array([pack(mx._tangent(v, unpack(e))) for e in eye]).T)
+    basis = u[:, sv > 0.5]
+    # the residuals of row i move by 2 sum_j xi_ij (N_p v_i)_j
+    jac = np.array([pack(2.0 * np.einsum("ij,ipj->ip", unpack(e), nv)) for e in eye]).T @ basis
+    mu = float(np.vdot(y, y).real)
+    damped = np.vstack([jac, math.sqrt(mu) * np.eye(basis.shape[1])])
+    rhs = -np.concatenate([pack(y), np.zeros(basis.shape[1])])
+    return unpack(basis @ np.linalg.lstsq(damped, rhs, rcond=None)[0])
+
+
+SEPARABLE_PANEL = ("werner0.3", "products4", "products3")
+
+
+class TestLevenbergMarquardt:
+    """The Levenberg-Marquardt finish of descents that reach SEP_THRESHOLD."""
+
+    @pytest.mark.parametrize("name", [n for n in SPECULATION_PANEL if n not in SEPARABLE_PANEL])
+    def test_entangled_searches_are_bit_identical(self, name, monkeypatch):
+        mat, dims, opts = SPECULATION_PANEL[name]()
+        rho = op.DensityState(mat, factor_dims=dims)
+        runs = []
+        for trigger in (mx.SEP_THRESHOLD, 0.0):  # as shipped, never
+            monkeypatch.setattr(mx, "SEP_THRESHOLD", trigger)
+            runs.append(mx.entanglement_number_mixed(rho, opts))
+        shipped, never = runs
+        assert float.hex(shipped.value) == float.hex(never.value)
+        assert shipped.evaluations == never.evaluations
+        assert shipped.converged == never.converged
+        assert shipped.best.vectors.tobytes() == never.best.vectors.tobytes()
+
+    @pytest.mark.parametrize("name", SEPARABLE_PANEL)
+    def test_separable_searches_reach_stop_at_within_100_evaluations(self, name):
+        # conjugate gradients alone took 304 (products3), 188 (products4) and 307 (werner0.3)
+        mat, dims, opts = SPECULATION_PANEL[name]()
+        result = mx.entanglement_number_mixed(op.DensityState(mat, factor_dims=dims), opts)
+        assert result.value <= mx.STOP_AT and result.evaluations <= 100
+        assert result.certificate is not None
+
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 3), ((2, 3), 2), ((3, 3), 3)])
+    def test_step_matches_brute_force(self, dims, rank):
+        rng = np.random.default_rng(104)
+        rho = wishart_state(dims, rank, rng)
+        search = mx._DecompositionSearch(rho, mx.spectral_pure_decomposition(rho))
+        v = haar_isometry(min(rank * rank, max(16, 2 * rank)), rank, rng)
+        want = lm_reference(search, v)
+        got = search.lm_step(v, search.terms(v)[0])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # near a zero residual the damping falls to about 1e-9, below a_i's small singular
+        # values squared, and the step still matches
+        search, v = near_separable_start(1e-4, rng)
+        want = lm_reference(search, v)
+        got = search.lm_step(v, search.terms(v)[0])
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 5), ((4, 4), 16)])
+    def test_step_is_tangent_and_keeps_zero_rows(self, dims, rank):
+        rng = np.random.default_rng(103)
+        rho = wishart_state(dims, rank, rng)
+        wishart = mx._DecompositionSearch(rho, mx.spectral_pure_decomposition(rho))
+        padded = np.vstack([haar_isometry(rank, rank, rng), np.zeros((rank, rank))])
+        for search, v in ((wishart, haar_isometry(2 * rank, rank, rng)), (wishart, padded),
+                          near_separable_start(1e-4, rng)):
+            xi = search.lm_step(v, search.terms(v)[0])
+            vx = v.conj().T @ xi
+            assert np.linalg.norm(vx + vx.conj().T) <= 1e-12 * np.linalg.norm(xi)
+            assert np.all(xi[~v.any(axis=1)] == 0)
+
+    def test_steps_reach_stop_at_from_1e_4(self):
+        search, v = near_separable_start(1e-4, np.random.default_rng(102))
+        values = [search.objective(v)]
+        assert 1e-5 <= values[0] <= 1e-3
+        while values[-1] > mx.STOP_AT and len(values) <= 6:
+            v = mx._cholesky_retraction(v + search.lm_step(v, search.terms(v)[0]))
+            values.append(search.objective(v))
+        assert values[-1] <= mx.STOP_AT, values
+
+    @pytest.mark.parametrize("failure", ["nan", "lapack", "no-gain"])
+    def test_failed_step_leaves_conjugate_gradients_as_they_were(self, failure, monkeypatch):
+        # a failed try moves nothing; a scored one (NaN, or a zero step that does not
+        # halve the value) costs one evaluation, and the next try waits for a tenfold drop
+        def broken(search, v, x):
+            if failure == "lapack":
+                raise np.linalg.LinAlgError("broken")
+            return np.full_like(v, np.nan if failure == "nan" else 0.0)
+
+        runs = []
+        for trigger, step in ((0.0, mx._DecompositionSearch.lm_step), (mx.SEP_THRESHOLD, broken)):
+            monkeypatch.setattr(mx, "SEP_THRESHOLD", trigger)
+            monkeypatch.setattr(mx._DecompositionSearch, "lm_step", step)
+            search, v = near_separable_start(1e-4, np.random.default_rng(105))
+            start = search.objective(v)
+            runs.append((search.descend(v, 500, mx.STOP_AT), search.evaluations))
+        ((never, v_never), n_never), ((failed, v_failed), n_failed) = runs
+        assert float.hex(failed) == float.hex(never) and v_failed.tobytes() == v_never.tobytes()
+        assert never < start / 100
+        tries = n_failed - n_never
+        assert tries == 0 if failure == "lapack" else 1 <= tries <= 6
 
 
 class TestSeparabilityCertificate:
