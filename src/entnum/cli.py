@@ -7,16 +7,18 @@ Subcommands:
     mixed          decomposition search for the mixed entanglement number
     verify-paper   replay the worked examples and property suites
 
-Exit codes are stable: 0 ok, 1 verification failure, 2 parse error,
-3 invariant violation, 4 shape mismatch, 5 optimizer budget exhausted
-(only with --require-converged).  All numeric output is printed with 16
-significant digits; every reported check carries its tolerance.
+Exit codes are stable: 0 ok, 1 verification failure, 2 parse error or an
+--out path that cannot be written, 3 invariant violation, 4 shape mismatch,
+5 optimizer budget exhausted (only with --require-converged).  All numeric
+output is printed with 16 significant digits; every reported check carries its
+tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -38,8 +40,6 @@ EXIT_BUDGET = 5
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, complex):
-        return f"{value.real:.16g}{value.imag:+.16g}j"
     if isinstance(value, float):
         return f"{value:.16g}"
     return str(value)
@@ -101,6 +101,14 @@ def _load_json(path: str) -> tuple[object, str]:
         return json.loads(raw), digest
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _write_json(path: str, obj) -> None:
+    """Write obj to path as indented JSON; an OSError becomes a ParseError, exit 2."""
+    try:
+        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_classical(args) -> tuple[Report, int]:
@@ -177,9 +185,7 @@ def cmd_mixed(args) -> tuple[Report, int]:
     cert = result.certificate
     report.add("certificate", cert is not None, mixed.SEP_THRESHOLD)
     if cert is not None and args.out:
-        Path(args.out).write_text(
-            json.dumps(serialize.encode_decomposition(cert), indent=2) + "\n"
-        )
+        _write_json(args.out, serialize.encode_decomposition(cert))
         report.add("certificate_file", args.out)
     if args.require_converged and not result.converged:
         return report, EXIT_BUDGET
@@ -211,20 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON array (measure) or array of arrays (product measure)")
     p.add_argument("--tol", type=float, default=None, help="factorization tolerance")
     p.add_argument("--out", default=None, help="also write the report as JSON")
-    p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("schmidt", help="Schmidt weights of a bipartite vector state")
     p.add_argument("file", help="JSON array of [re, im] pairs of length dimA*dimB")
     p.add_argument("--dims", type=int, nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--out", default=None, help="also write the report as JSON")
-    p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("context-coeff", help="context coefficient of an operator")
     p.add_argument("operator", help="JSON matrix of [re, im] pairs")
     p.add_argument("context", help="JSON array of basis vectors")
     p.add_argument("--tol", type=float, default=None, help="measurability tolerance")
     p.add_argument("--out", default=None, help="also write the report as JSON")
-    p.set_defaults(func=cmd_context_coeff)
 
     p = sub.add_parser("mixed", help="mixed-state entanglement number via decomposition search")
     p.add_argument("file", help="JSON density matrix of [re, im] pairs")
@@ -235,21 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decomposition terms (default min(rank^2, max(16, 2*rank)))")
     p.add_argument("--require-converged", action="store_true")
     p.add_argument("--out", default=None, help="write the certificate decomposition here")
-    p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("verify-paper", help="replay worked examples and property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None,
                    help="comma-separated check ids (example1..example9, thm11..thm33)")
     p.add_argument("--out", default=None, help="also write the report as JSON")
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
-_parser: Optional[argparse.ArgumentParser] = None
-
-
+@functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses: built on the first call, then kept for the process.
 
@@ -257,18 +256,17 @@ def _shared_parser() -> argparse.ArgumentParser:
     otherwise pay on every call.  ``build_parser`` still returns a fresh one,
     so editing that cannot change ``main``.
     """
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    return _parser
+    return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
-    # the command's current module binding, so a patched ``cmd_*`` still applies
-    command = globals()[args.func.__name__]
+    # looked up on each call, so a patched ``cmd_*`` still applies
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         report, code = command(args)
+        if args.out and args.command != "mixed":  # mixed writes its certificate instead
+            _write_json(args.out, report.to_json())
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -279,9 +277,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     print(report.render())
-    out = getattr(args, "out", None)
-    if out and args.command != "mixed":
-        Path(out).write_text(json.dumps(report.to_json(), indent=2) + "\n")
     return code
 
 

@@ -39,11 +39,12 @@ conjugate gradients converge on it only linearly.  Once a descent's value is at
 most ``SEP_THRESHOLD``, it tries a Levenberg-Marquardt step on the tangent space
 before each iteration, damped by mu = ||y||^2 (Yamashita and Fukushima, Computing
 Suppl. 15, 239 (2001)), which converges quadratically there although the zeros
-are not isolated.  The step is taken when it at least halves the value; a state
-known to be entangled never tries one, so its searches are the conjugate-gradient
-ones bit for bit.  ``evaluations`` counts the trial points the Armijo test
-examines and every LM step scored; a half step scored alongside a t that passed
-is not counted.
+are not isolated.  The step is retracted and scored as a line-search trial of step
+1, and taken when it at least halves the value; a state known to be entangled never
+tries one, so its searches are the conjugate-gradient ones bit for bit.
+``evaluations`` counts the starting points scored, the trial points the Armijo test
+examines and every LM step scored; a half step scored alongside a t that passed is
+not counted.
 
 Each search also computes a certified lower bound from the same support forms,
 sqrt(2) sqrt(sum_p U(N_p)^2) with U(N) = max(0, s_1 - sum_{j>1} s_j) over the
@@ -167,8 +168,9 @@ class OptimizerOptions:
 
     ``restarts`` counts the spectral start, the r-term start and random starts;
     ``max_iters``, at least 1, caps the iterations of one descent, conjugate-gradient
-    and Levenberg-Marquardt steps alike, summed over its smoothing stages; ``seed``, non-negative, seeds the random starts;
-    ``m`` is the number of decomposition terms (default min(r^2, max(16, 2r))).
+    and Levenberg-Marquardt steps alike, summed over its smoothing stages; ``seed``,
+    non-negative, seeds the random starts; ``m`` is the number of decomposition terms
+    (default min(r^2, max(16, 2r))).
     ``restarts`` below 1, ``max_iters`` below 1 and a negative ``seed`` raise
     ``InvariantViolation`` on construction.  The stop, convergence and certificate
     rules are the module constants ``STOP_AT``, ``STAGNATION_TOL``, ``PATIENCE``,
@@ -229,20 +231,21 @@ def _decompose(rho: DensityState, spectral: PureDecomposition, v: np.ndarray) ->
     keep = weights > WEIGHT_CUTOFF
     weights = weights[keep]
     vectors = raw[keep] / np.sqrt(weights)[:, None]
-    d = PureDecomposition(ProbMeasure(weights / weights.sum()), vectors)
-    err = d.reconstruction_error(rho)
-    if not err <= RECONSTRUCTION_TOL:
-        raise InvariantViolation(f"parameterized decomposition misses rho by {err:.3e}")
-    return d
+    return _reconstructing(rho, PureDecomposition(ProbMeasure(weights / weights.sum()), vectors))
 
 
 def decomposition_entanglement(rho: DensityState, d: PureDecomposition) -> float:
     """Weighted average of the pure entanglement numbers of the decomposition vectors."""
-    da, db = _require_factor_dims(rho)
+    dims = _require_factor_dims(rho)
+    return float(_reconstructing(rho, d).weights.weights @ _pure_numbers(d.vectors, dims))
+
+
+def _reconstructing(rho: DensityState, d: PureDecomposition) -> PureDecomposition:
+    """d, once it reconstructs rho within ``RECONSTRUCTION_TOL``; a NaN error fails too."""
     err = d.reconstruction_error(rho)
     if not err <= RECONSTRUCTION_TOL:
-        raise InvariantViolation(f"decomposition does not reconstruct rho (error {err:.3e})")
-    return float(d.weights.weights @ _pure_numbers(d.vectors, (da, db)))
+        raise InvariantViolation(f"decomposition misses rho by {err:.3e}")
+    return d
 
 
 def _require_factor_dims(rho: DensityState) -> tuple[int, int]:
@@ -292,10 +295,14 @@ class _DecompositionSearch:
         y = (nv @ v[..., None])[..., 0]
         return (y, nv), 2.0 * np.einsum("...p,...p->...", y, y.conj()).real
 
-    def objective(self, v: np.ndarray) -> float:
-        # per term: p_i * sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k)
+    def objective(self, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float]:
+        """(terms, cross terms c, value) at a start v, counted as one evaluation.
+
+        Per term, p_i sqrt(1 - sum lam^2 / p_i^2) = sqrt(sum_{j != k} lam_j lam_k) = sqrt(c_i).
+        """
         self.evaluations += 1
-        return float(np.sum(np.sqrt(self.terms(v)[1])))
+        x, c = self.terms(v)
+        return x, c, float(np.sqrt(c).sum())
 
     def gradient(self, x: tuple[np.ndarray, np.ndarray], root: np.ndarray) -> np.ndarray:
         """Euclidean gradient of ``_smoothed`` from the ``terms`` x, root = sqrt(c + eps^2).
@@ -360,20 +367,18 @@ class _DecompositionSearch:
         Once the value is at most ``SEP_THRESHOLD``, the descent is heading for a zero
         of the residuals y, where conjugate gradients converge only linearly.  Before
         each iteration it then tries the Levenberg-Marquardt step of ``lm_step``,
-        retracted and scored as one evaluation, and takes it when the value at least
-        halves; conjugate gradients restart from steepest descent there.  A rejected
-        step, or one that fails in LAPACK or scores NaN, leaves the iteration to
-        conjugate gradients, and the next try waits until they have lowered the value
-        tenfold.  A descent whose value stays above ``SEP_THRESHOLD``, or of a state
-        known to be ``entangled``, never tries one.
-        An accepted step counts as one of the ``max_iters`` iterations.
-        ``evaluations`` counts the trial points the Armijo test examines, not a half
-        step scored alongside a t that passed, and every LM step scored.
+        retracted and scored by ``_trials`` as the single step t = 1, and takes it when
+        the value at least halves; conjugate gradients restart from steepest descent
+        there.  A rejected step, or one that fails in LAPACK or scores NaN, leaves the
+        iteration to conjugate gradients, and the next try waits until they have lowered
+        the value tenfold.  A descent whose value stays above ``SEP_THRESHOLD``, or of a
+        state known to be ``entangled``, never tries one.  An accepted step counts as one
+        of the ``max_iters`` iterations.  ``evaluations`` counts v and then every trial,
+        by the rule of the module docstring.
         """
         speculate = v.size * self.basis.shape[1] <= _SPECULATION_WORK
-        x, c = self.terms(v)
-        self.evaluations += 1
-        value, step, iters = float(np.sum(np.sqrt(c))), 1.0, 0
+        x, c, value = self.objective(v)
+        step, iters = 1.0, 0
         lm_at = 0.0 if self.entangled else SEP_THRESHOLD  # the value that triggers LM
         for eps in SMOOTHING:
             f, root = _smoothed(c, eps)
@@ -381,11 +386,16 @@ class _DecompositionSearch:
             d, trail = -xi, [value]
             while iters < max_iters and value > stop_at:
                 if value <= lm_at:
-                    trial = self._lm_trial(v, x)
-                    if trial is not None and trial[3] <= value / 2.0:  # a NaN fails
-                        v, x, c, value = trial
-                        f, root = _smoothed(c, eps)
-                        f, xi = float(f), _tangent(v, self.gradient(x, root))
+                    try:  # the unit step along lm_step, scored as a one-step Armijo trial
+                        [(v1, x1, c1, f1, root1)] = self._trials(v, self.lm_step(v, x), (1.0,), eps)
+                    except np.linalg.LinAlgError:
+                        value1 = math.nan
+                    else:
+                        self.evaluations += 1
+                        value1 = float(np.sqrt(c1).sum())
+                    if value1 <= value / 2.0:  # a NaN fails
+                        v, x, c, f, value = v1, x1, c1, float(f1), value1
+                        xi = _tangent(v, self.gradient(x, root1))
                         d = -xi
                         iters += 1
                         trail.append(value)
@@ -423,23 +433,12 @@ class _DecompositionSearch:
                     break
         return value, v
 
-    def _lm_trial(self, v: np.ndarray, x: tuple[np.ndarray, np.ndarray]) -> Optional[tuple]:
-        """(isometry, terms, c, value) at the retraction of v + ``lm_step(v, x)``, scored as
-        one evaluation, or None when LAPACK fails on the step."""
-        try:
-            v1 = _cholesky_retraction(v + self.lm_step(v, x))
-        except np.linalg.LinAlgError:
-            return None
-        x1, c1 = self.terms(v1)
-        self.evaluations += 1
-        return v1, x1, c1, float(np.sqrt(c1).sum())
-
     def _trials(self, v: np.ndarray, d: np.ndarray, steps: tuple[float, ...],
                 eps: float) -> Iterable[tuple]:
         """(isometry, terms, c, smoothed value, sqrt(c + eps^2)) at the retraction of v + t d
         for each t in steps.  Two steps are scored as one (2, m, r) stack: one retraction
-        and one ``terms`` call.  A single step stays 2-D: a one-slice stack costs 2 to 5 %
-        more per evaluation."""
+        and one ``terms`` call.  A single step stays 2-D: a one-slice stack costs 5 to 13 %
+        more per trial, from 4x4 rank 16 down to 2x2 rank 4."""
         if len(steps) == 1:
             v1 = _cholesky_retraction(v + steps[0] * d)
             x1, c1 = self.terms(v1)
@@ -531,7 +530,7 @@ def entanglement_number_mixed(
         return rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r))
 
     best_v = np.eye(search_m, r, dtype=complex)
-    best_val = search.objective(best_v)
+    best_val = search.objective(best_v)[2]
     history = [best_val]
 
     for k in range(1, opts.restarts + POLISH_ROUNDS):

@@ -1,5 +1,6 @@
 """CLI behavior: reports, exit codes, and determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -428,6 +429,32 @@ class TestVerifyPaper:
         _, out1, _ = run(capsys, ["verify-paper", "--seed", "7", "--only", "thm24"])
         _, out2, _ = run(capsys, ["verify-paper", "--seed", "7", "--only", "thm24"])
         assert out1 == out2
+
+
+class TestMain:
+    """What ``main`` does around a command: finding it, and writing its ``--out`` file."""
+
+    def test_every_subcommand_has_a_command_function(self):
+        # main runs cmd_<command>, with the dashes of the subcommand's name as underscores
+        parser = cli.build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"classical", "schmidt", "context-coeff", "mixed",
+                                    "verify-paper"}
+        for name in sub.choices:
+            assert callable(getattr(cli, "cmd_" + name.replace("-", "_"), None)), name
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        rho, _ = mixed.separable_with_entangled_spectrum()
+        out_path = tmp_path / "missing" / "out.json"
+        calls = [["classical", write(tmp_path, "u.json", [0.5, 0.5])],
+                 ["mixed", write(tmp_path, "rho.json", cmat(rho.mat)), "--dims", "2", "2",
+                  "--restarts", "20"]]
+        for argv in calls:
+            code, out, err = run(capsys, argv + ["--out", str(out_path)])
+            assert code == 2, argv[0]
+            assert err.startswith(f"parse error: cannot write {out_path}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert out == "" and not out_path.parent.exists()
 
 
 class TestParserReuse:

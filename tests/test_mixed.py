@@ -335,8 +335,10 @@ class TestSearchKernel:
         for dims in [(2, 2), (2, 3), (3, 3)]:
             rho, search, v = search_and_start(dims, rng)
             d = mx._decompose(rho, mx.spectral_pure_decomposition(rho), v)
-            assert search.objective(v) == pytest.approx(
-                mx.decomposition_entanglement(rho, d), abs=1e-12)
+            _, c, value = search.objective(v)
+            assert value == pytest.approx(mx.decomposition_entanglement(rho, d), abs=1e-12)
+            # the terms the descent starts from, counted as one evaluation
+            assert c.tobytes() == search.terms(v)[1].tobytes() and search.evaluations == 1
 
     @pytest.mark.parametrize("dims, rank", [((2, 2), 4), ((3, 3), 5), ((4, 4), 4), ((4, 4), 16)])
     def test_support_form_matches_minor_form(self, dims, rank):
@@ -398,7 +400,7 @@ class TestSearchKernel:
         start = np.vstack([haar_isometry(r, r, rng), np.zeros((m - r, r))])
         value, v = search.descend(start, 300, 0.0)
         assert np.all(v[r:] == 0)
-        assert value < search.objective(start)
+        assert value < search.objective(start)[2]
 
 
 class TestMixedOptimizer:
@@ -641,7 +643,7 @@ class TestMixedOptimizer:
         # below SEP_THRESHOLD the LM steps need no gradient; once they stop halving the
         # value, the NaN gradient ends each stage
         search, v = near_separable_start(1e-4, rng)
-        start = search.objective(v)
+        start = search.objective(v)[2]
         assert start <= mx.SEP_THRESHOLD
         search.gradient = lambda x, root: np.full_like(v, np.nan)
         search.evaluations = 0
@@ -791,11 +793,11 @@ class TestLevenbergMarquardt:
 
     def test_steps_reach_stop_at_from_1e_4(self):
         search, v = near_separable_start(1e-4, np.random.default_rng(102))
-        values = [search.objective(v)]
+        values = [search.objective(v)[2]]
         assert 1e-5 <= values[0] <= 1e-3
         while values[-1] > mx.STOP_AT and len(values) <= 6:
             v = mx._cholesky_retraction(v + search.lm_step(v, search.terms(v)[0]))
-            values.append(search.objective(v))
+            values.append(search.objective(v)[2])
         assert values[-1] <= mx.STOP_AT, values
 
     @pytest.mark.parametrize("failure", ["nan", "lapack", "no-gain"])
@@ -812,7 +814,7 @@ class TestLevenbergMarquardt:
             monkeypatch.setattr(mx, "SEP_THRESHOLD", trigger)
             monkeypatch.setattr(mx._DecompositionSearch, "lm_step", step)
             search, v = near_separable_start(1e-4, np.random.default_rng(105))
-            start = search.objective(v)
+            start = search.objective(v)[2]
             runs.append((search.descend(v, 500, mx.STOP_AT), search.evaluations))
         ((never, v_never), n_never), ((failed, v_failed), n_failed) = runs
         assert float.hex(failed) == float.hex(never) and v_failed.tobytes() == v_never.tobytes()
