@@ -50,9 +50,14 @@ Each search also computes a certified lower bound from the same support forms,
 sqrt(2) sqrt(sum_p U(N_p)^2) with U(N) = max(0, s_1 - sum_{j>1} s_j) over the
 singular values of N_p (Mintert, Kus and Buchleitner, PRL 92, 167902 (2004)).
 The restart loop ends once the best value is within ``STOP_AT`` of it, which
-is then a proof that the infimum was found.  On two qubits the bound is the
-exact Wootters value, and a pure state meets it at restart 0; above 2x2 it can
-lie well below the infimum, and the loop runs its full budget.
+is then a proof that the infimum was found.  On two qubits there is one form N,
+the bound is the exact Wootters value, and a pure state meets it at restart 0.
+Any other two-qubit state meets it at the second evaluation (when m is at least
+the 2^ceil(log2 r) rows it needs, as the default m is): the isometry of
+``_DecompositionSearch.closed_form``, built from the Takagi factorization of N,
+attains U(N) in closed form (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62,
+032307 (2000)), so no descent runs.  Above 2x2 the bound can lie well below the
+infimum, and the loop runs its full budget.
 
 Terms are scored without an SVD, through the 2x2 minors of their coefficient
 matrices, which do not cancel near product vectors.  Each minor of a
@@ -286,7 +291,52 @@ class _DecompositionSearch:
         self.lower = math.sqrt(2.0) * float(np.linalg.norm(uhlmann))
         self.entangled = self.lower > STOP_AT or not _is_ppt(rho)
         self.basis = forms.transpose(1, 0, 2).reshape(len(rows), -1)
+        self.form = forms[0] if len(forms) == 1 else None  # the one form of ``closed_form``
         self.evaluations = 0
+
+    def closed_form(self, m: int) -> Optional[np.ndarray]:
+        """An m x r isometry that scores ``lower`` when the search has one form N, else None.
+
+        Takagi-factor N = U diag(sigma) U^T: each eigenvector (x; y) of the real symmetric
+        [[Re N, Im N], [Im N, -Re N]] for one of its r largest eigenvalues sigma_j gives
+        u_j = x + i y with N conj(u_j) = sigma_j u_j.  The -sigma_j partner of (x; y) is
+        (-y; x), orthogonal to every eigenvector of a positive eigenvalue, so the u_j of
+        sigma_j well above 0 are orthonormal, degenerate sigma_j included.  Near 0 the
+        eigenvectors of +sigma_j and -sigma_k mix, and the u_j lost up to 1e-5 of
+        orthogonality on rank-2 states plus 1e-10 of noise; the polar factor of
+        [u_1 ... u_r] is a unitary, and U up to rounding where the u_j are orthonormal.  Row i of
+        V = O diag(e^{i phi}) U^H has v_i^T N v_i = sum_j O_ij^2 sigma_j e^{2i phi_j}, with
+        O the first r columns of the Sylvester Hadamard matrix of order k = 2^ceil(log2 r)
+        over sqrt(k), so O_ij^2 = 1/k and the k rows score |sum_j sigma_j e^{2i phi_j}|
+        in total.  The phases make that U(N) = max(0, sigma_1 - sum_{j>1} sigma_j):
+        (1, -1, ..., -1) when sigma_1 >= sum_{j>1} sigma_j, and otherwise those of a closed
+        triangle with sides sigma_1, sigma_2 and sigma_3 + ... + sigma_r (Wootters, PRL 80, 2245
+        (1998); Uhlmann, PRA 62, 032307 (2000)).  V has k rows, padded with zeros to m;
+        None when k > m.
+        """
+        if self.form is None:
+            return None
+        n = self.form
+        r = len(n)
+        k = 1 << (r - 1).bit_length()
+        if k > m:
+            return None
+        sigma, x = np.linalg.eigh(np.block([[n.real, n.imag], [n.imag, -n.real]]))
+        sigma, x = np.maximum(sigma[::-1][:r], 0.0), x[:, ::-1][:, :r]
+        w, _, zh = np.linalg.svd(x[:r] + 1j * x[r:])
+        twice = np.zeros(r)  # 2 phi
+        a, b, c = sigma[0], sigma[1:2].sum(), sigma[2:].sum()
+        if a >= b + c:
+            twice[1:] = math.pi
+        else:  # a < b + c, and b <= a, c <= a + b: the triangle exists, with b > 0
+            twice[1] = math.acos(min(1.0, max(-1.0, (c * c - a * a - b * b) / (2.0 * a * b))))
+            twice[2:] = np.angle(-(a + b * np.exp(1j * twice[1])))
+        hadamard = np.ones((1, 1))
+        while len(hadamard) < k:
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        v = np.zeros((m, r), dtype=complex)
+        v[:k] = (hadamard[:, :r] * np.exp(0.5j * twice) / math.sqrt(k)) @ (w @ zh).conj().T
+        return v
 
     def terms(self, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """((y, N v), c) with y_p = v^T N_p v and the cross terms c, for an m x r isometry
@@ -501,14 +551,19 @@ def entanglement_number_mixed(
     """Minimize the decomposition entanglement of rho over visited decompositions.
 
     Restart 0 evaluates the spectral decomposition itself (identity isometry),
-    so the result never exceeds it.  Restart 1 descends from a seeded random
+    so the result never exceeds it.  While the bracket is open and the search has
+    one support form (two qubits), the isometry of ``closed_form``, which attains the
+    lower bound, is scored next as one evaluation with no descent; it needs a
+    Hadamard block of k = 2^ceil(log2 r) rows, so it is skipped when m < k, as for
+    rank 3 with m = 3.  Restart 1 descends from a seeded random
     r x r unitary padded with m - r zero rows, which get zero gradient and stay
     zero: an r-term search.  Later restarts descend from seeded random m x r
     isometries.  Each of the ``POLISH_ROUNDS`` descends again from the best
     isometry after a random kick of size ``KICK``, so rows left at zero can
     join in.  The loop ends once the best value is within ``STOP_AT`` of the
     search's lower bound (``MixedResult.lower_bound``): nothing can lower it
-    further.  A pure state's bound is its value, so it stops after restart 0.
+    further.  A pure state's bound is its value, so it stops after restart 0, and
+    every other two-qubit state stops on the closed form.
     Results are deterministic for a fixed seed and restart count.
 
     ``converged`` reports that the best value met the lower bound within
@@ -531,6 +586,11 @@ def entanglement_number_mixed(
 
     best_v = np.eye(search_m, r, dtype=complex)
     best_val = search.objective(best_v)[2]
+    closed = search.closed_form(search_m) if best_val > stop_at else None
+    if closed is not None:
+        val = search.objective(closed)[2]
+        if val < best_val:
+            best_val, best_v = val, closed
     history = [best_val]
 
     for k in range(1, opts.restarts + POLISH_ROUNDS):

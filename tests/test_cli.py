@@ -291,6 +291,19 @@ class TestMixed:
         assert code == 0
         assert "converged = yes" in out and "objective_evaluations = 1\n" in out
 
+    def test_two_qubit_search_closes_on_the_closed_form(self, tmp_path, capsys):
+        # Werner p = 0.8: the spectral start misses the Wootters value, and the
+        # closed-form isometry scored next meets it, so no descent runs
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
+        path = write(tmp_path, "rho.json",
+                     cmat(0.8 * np.outer(singlet, singlet) + 0.05 * np.eye(4)))
+        code, out, _ = run(
+            capsys,
+            ["mixed", path, "--dims", "2", "2", "--restarts", "100", "--require-converged"],
+        )
+        assert code == 0
+        assert "converged = yes" in out and "objective_evaluations = 2\n" in out
+
     def test_entangled_werner_gets_no_certificate(self, tmp_path, capsys):
         # e = 5e-4, below SEP_THRESHOLD: only the lower bound shows it is entangled
         p = (1 + 2 * 5e-4 * math.sqrt(2)) / 3

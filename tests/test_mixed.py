@@ -277,6 +277,12 @@ SPECULATION_PANEL = {
 }
 
 
+@pytest.fixture
+def descents_only(monkeypatch):
+    """Searches without the closed-form start, so two-qubit states run their descents."""
+    monkeypatch.setattr(mx._DecompositionSearch, "closed_form", lambda search, m: None)
+
+
 def haar_isometry(m, r, rng):
     return mx._qr_isometry(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r)))
 
@@ -502,10 +508,12 @@ class TestMixedOptimizer:
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self):
-        # Example 9 stops early; the Wishart state runs every restart
+        # Example 9 and the 2x2 Wishart state stop on the closed form; the 2x3 one runs
+        # every restart
         opts = mx.OptimizerOptions(restarts=3, max_iters=200, seed=3)
         for rho in (mx.separable_with_entangled_spectrum()[0],
-                    wishart_state((2, 2), 3, np.random.default_rng(7))):
+                    wishart_state((2, 2), 3, np.random.default_rng(7)),
+                    wishart_state((2, 3), 3, np.random.default_rng(7))):
             a = mx.entanglement_number_mixed(rho, opts)
             b = mx.entanglement_number_mixed(rho, opts)
             assert (a.value, a.evaluations) == (b.value, b.evaluations)
@@ -617,6 +625,7 @@ class TestMixedOptimizer:
         assert result.evaluations == 1 and result.converged
         assert result.certificate is not None
 
+    @pytest.mark.usefixtures("descents_only")
     def test_converged_descents_end_at_the_rounding_floor(self):
         # a converged stage ends once no step could lower the value beyond its rounding
         # error, so no evaluations are spent on rounding noise
@@ -651,6 +660,7 @@ class TestMixedOptimizer:
         assert value < start and search.evaluations <= 10
 
 
+@pytest.mark.usefixtures("descents_only")
 class TestSpeculativeLineSearch:
     """Scoring the Armijo step t and its halving t/2 as one stack changes no answer."""
 
@@ -663,6 +673,7 @@ class TestSpeculativeLineSearch:
             monkeypatch.setattr(mx, "_SPECULATION_WORK", work)
             runs.append(mx.entanglement_number_mixed(rho, opts))
         never, always = runs
+        assert never.evaluations > 2  # descents ran, not the spectral and closed-form starts
         assert float.hex(always.value) == float.hex(never.value)
         assert always.evaluations == never.evaluations
         assert always.converged == never.converged
@@ -737,6 +748,7 @@ def lm_reference(search, v):
 SEPARABLE_PANEL = ("werner0.3", "products4", "products3")
 
 
+@pytest.mark.usefixtures("descents_only")
 class TestLevenbergMarquardt:
     """The Levenberg-Marquardt finish of descents that reach SEP_THRESHOLD."""
 
@@ -749,6 +761,7 @@ class TestLevenbergMarquardt:
             monkeypatch.setattr(mx, "SEP_THRESHOLD", trigger)
             runs.append(mx.entanglement_number_mixed(rho, opts))
         shipped, never = runs
+        assert never.evaluations > 2  # descents ran, not the spectral and closed-form starts
         assert float.hex(shipped.value) == float.hex(never.value)
         assert shipped.evaluations == never.evaluations
         assert shipped.converged == never.converged
@@ -821,6 +834,120 @@ class TestLevenbergMarquardt:
         assert never < start / 100
         tries = n_failed - n_never
         assert tries == 0 if failure == "lapack" else 1 <= tries <= 6
+
+
+def singular_form_mixture(seed):
+    """Rank-2 two-qubit mixture of a product state a (x) b and a state psi orthogonal to
+    a' (x) b', with a' and b' orthogonal to a and b: the form on its support is singular."""
+    rng = np.random.default_rng(seed)
+    a, b = unit_vector(rng, 2), unit_vector(rng, 2)
+    perp = np.kron([-a[1].conj(), a[0].conj()], [-b[1].conj(), b[0].conj()])
+    psi = unit_vector(rng, 4)
+    psi -= np.vdot(perp, psi) * perp
+    psi /= np.linalg.norm(psi)
+    ab = np.kron(a, b)
+    w = rng.uniform(0.2, 0.8)
+    return w * np.outer(ab, ab.conj()) + (1 - w) * np.outer(psi, psi.conj())
+
+
+def near_rank2(seed, rank, eps):
+    """A random rank-2 two-qubit state mixed with eps of a random state of the given rank:
+    its form has rank - 2 singular values near 0."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    h = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    return ((1 - eps) * g @ g.conj().T / np.vdot(g, g).real
+            + eps * h @ h.conj().T / np.vdot(h, h).real)
+
+
+def closed_form_states():
+    """Two-qubit states whose spectral decomposition misses the lower bound: seeded
+    random states of rank 2 to 4, Werner and isotropic states p P + (1 - p) / 4 on a grid
+    through the separability boundary p = 1/3, Example 9, rank-2 mixtures whose form is
+    singular, and rank-2 states with 1e-10 of noise, whose eigenvectors for the small
+    singular values are not orthogonal without the polar factor."""
+    rng = np.random.default_rng(106)
+    states = {}
+    for rank in (2, 3, 4):
+        for i in range(5):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states[f"rank{rank}-{i}"] = g @ g.conj().T / np.vdot(g, g).real
+    for p in [0.05 * j for j in range(1, 20)] + [1 / 3]:
+        states[f"werner-{p:.4f}"] = werner(p)
+        states[f"isotropic-{p:.4f}"] = isotropic(2, (1 + 3 * p) / 4)
+    states["example9"] = mx.separable_with_entangled_spectrum()[0].mat
+    for seed in range(3):
+        states[f"singular-form-{seed}"] = singular_form_mixture(seed)
+    for rank in (3, 4):
+        for seed in range(2):
+            states[f"near-rank2-{rank}-{seed}"] = near_rank2(seed, rank, 1e-10)
+    return states
+
+
+CLOSED_FORM_STATES = closed_form_states()
+
+
+def with_and_without_closed_form(rho, opts, monkeypatch):
+    """The search as shipped and with the closed-form start turned off; they must be
+    bit for bit the same search."""
+    shipped = mx.entanglement_number_mixed(rho, opts)
+    monkeypatch.setattr(mx._DecompositionSearch, "closed_form", lambda search, m: None)
+    never = mx.entanglement_number_mixed(rho, opts)
+    assert float.hex(shipped.value) == float.hex(never.value)
+    assert shipped.evaluations == never.evaluations
+    assert shipped.converged == never.converged
+    assert shipped.best.vectors.tobytes() == never.best.vectors.tobytes()
+    return never
+
+
+class TestClosedForm:
+    """The isometry that attains Uhlmann's bound on the one form of a two-qubit search."""
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_STATES))
+    def test_isometry_scores_the_lower_bound(self, name):
+        rho = op.DensityState(CLOSED_FORM_STATES[name], factor_dims=(2, 2))
+        spectral = mx.spectral_pure_decomposition(rho)
+        search = mx._DecompositionSearch(rho, spectral)
+        r = len(spectral)
+        if name.startswith("singular-form"):
+            assert r == 2 and np.linalg.svd(search.form, compute_uv=False)[1] <= 1e-12
+        v = search.closed_form(min(r * r, max(16, 2 * r)))
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(r), rtol=0, atol=1e-12)
+        assert search.objective(v)[2] - search.lower <= mx.STOP_AT
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_STATES))
+    def test_search_closes_on_the_second_evaluation(self, name):
+        mat = CLOSED_FORM_STATES[name]
+        rho = op.DensityState(mat, factor_dims=(2, 2))
+        result = mx.entanglement_number_mixed(rho, mx.OptimizerOptions(restarts=100, seed=0))
+        # a singular form sigma u u^T scores sqrt(2) sigma ||V u||^2 = sqrt(2) sigma at every
+        # isometry V, so the spectral start meets the bound already
+        assert result.evaluations == (1 if name.startswith("singular-form") else 2)
+        assert result.converged
+        assert result.value - result.lower_bound <= mx.STOP_AT
+        # Wootters' value from a factor g g* of rho, by the spin-flip form, not the minors
+        mu, chi = np.linalg.eigh(mat)
+        assert abs(result.value - wootters_from_factor(chi * np.sqrt(np.maximum(mu, 0.0)))) \
+            <= 1e-8
+        pt = mat.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)
+        ppt = np.linalg.eigvalsh(pt)[0] >= -mx.PPT_TOL
+        assert (result.certificate is not None) == (result.lower_bound <= mx.STOP_AT and ppt)
+
+    def test_too_few_rows_keep_the_descents(self, monkeypatch):
+        # rank 3 needs a Hadamard block of 4 rows; with m = 3 the search is the one
+        # without the closed form
+        rho = wishart_state((2, 2), 3, np.random.default_rng(107))
+        assert mx._DecompositionSearch(rho, mx.spectral_pure_decomposition(rho)).closed_form(3) \
+            is None
+        never = with_and_without_closed_form(rho, mx.OptimizerOptions(restarts=3, seed=0, m=3),
+                                             monkeypatch)
+        assert never.evaluations > 2
+
+    @pytest.mark.parametrize("name", [n for n, make in SPECULATION_PANEL.items()
+                                      if make()[1] != (2, 2)])
+    def test_searches_above_2x2_are_unchanged(self, name, monkeypatch):
+        mat, dims, opts = SPECULATION_PANEL[name]()
+        with_and_without_closed_form(op.DensityState(mat, factor_dims=dims), opts, monkeypatch)
 
 
 class TestSeparabilityCertificate:
