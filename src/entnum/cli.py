@@ -51,7 +51,7 @@ class Report:
     inputs_digest: str
     results: list[tuple[str, object, Optional[float]]] = field(default_factory=list)
     assertions: list[tuple[str, float, float, float, bool]] = field(default_factory=list)
-    # verify-paper rows: printed by the command as its own table, written to JSON here
+    # verify-paper rows: rendered as a table above the results, written to JSON as assertions
     rows: list[verify.VerifyRow] = field(default_factory=list)
 
     def add(self, name: str, value, tol: Optional[float] = None) -> None:
@@ -66,7 +66,8 @@ class Report:
         return all(ok for *_, ok in self.assertions)
 
     def render(self) -> str:
-        lines = [f"command: {self.command}", f"inputs: sha256:{self.inputs_digest}"]
+        lines = [verify.render_table(self.rows)] if self.rows else []
+        lines += [f"command: {self.command}", f"inputs: sha256:{self.inputs_digest}"]
         for name, value, tol in self.results:
             suffix = f"  [tol {tol:.0e}]" if tol is not None else ""
             lines.append(f"{name} = {_fmt(value)}{suffix}")
@@ -115,8 +116,7 @@ def cmd_classical(args) -> tuple[Report, int]:
     obj, digest = _load_json(args.file)
     u = serialize.decode_classical(obj)
     report = Report("classical", digest)
-    tol = args.tol if args.tol is not None else 1e-10
-    operators._check_tol(tol)
+    operators._check_tol(args.tol)
     if isinstance(u, measures.ProbMeasure):
         sup = sorted(measures.support(u))
         report.add("support", "{" + ", ".join(map(str, sup)) + "}")
@@ -129,8 +129,8 @@ def cmd_classical(args) -> tuple[Report, int]:
                    1e-12)
     else:
         report.add("entanglement_number", measures.product_entanglement_number(u), 1e-12)
-        factorized = measures.is_factorized(u, tol=tol)
-        report.add("factorized", factorized, tol)
+        factorized = measures.is_factorized(u, tol=args.tol)
+        report.add("factorized", factorized, args.tol)
         report.add("verdict", "factorized" if factorized else "entangled")
     return report, EXIT_OK
 
@@ -154,13 +154,12 @@ def cmd_context_coeff(args) -> tuple[Report, int]:
     ctx_obj, d2 = _load_json(args.context)
     a = serialize.decode_operator(op_obj)
     ctx = serialize.decode_context(ctx_obj)
-    tol = args.tol if args.tol is not None else 1e-10
     report = Report("context-coeff", hashlib.sha256((d1 + d2).encode()).hexdigest())
     coeff = contexts.context_coefficient(a, ctx)
     residual = operators.hs_norm(contexts.residual_map(a, ctx))
     report.add("context_coefficient", coeff, 1e-9)
     report.add("residual_norm", residual, 1e-9)
-    report.add("measurable", contexts.is_measurable(a, ctx, tol=tol), tol)
+    report.add("measurable", contexts.is_measurable(a, ctx, tol=args.tol), args.tol)
     report.check("residual norm equals context coefficient", residual, coeff, 1e-9)
     return report, EXIT_OK if report.all_passed else EXIT_VERIFY
 
@@ -199,7 +198,6 @@ def cmd_verify_paper(args) -> tuple[Report, int]:
         json.dumps({"seed": args.seed, "only": only}).encode()
     ).hexdigest()
     report = Report("verify-paper", digest, rows=rows)
-    print(verify.render_table(rows))
     ok = all(r.passed for r in rows)
     report.add("assertions", len(rows))
     report.add("failures", sum(not r.passed for r in rows))
@@ -215,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical", help="report on a probability or product measure")
     p.add_argument("file", help="JSON array (measure) or array of arrays (product measure)")
-    p.add_argument("--tol", type=float, default=None, help="factorization tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="factorization tolerance")
     p.add_argument("--out", default=None, help="also write the report as JSON")
 
     p = sub.add_parser("schmidt", help="Schmidt weights of a bipartite vector state")
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("context-coeff", help="context coefficient of an operator")
     p.add_argument("operator", help="JSON matrix of [re, im] pairs")
     p.add_argument("context", help="JSON array of basis vectors")
-    p.add_argument("--tol", type=float, default=None, help="measurability tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="measurability tolerance")
     p.add_argument("--out", default=None, help="also write the report as JSON")
 
     p = sub.add_parser("mixed", help="mixed-state entanglement number via decomposition search")

@@ -36,12 +36,16 @@ search takes, bit for bit.
 Near a separable decomposition the smoothed objective is the zero-residual least
 squares sum_ip |v_i^T N_p v_i|^2 / eps, whose minimizers form a continuum, and
 conjugate gradients converge on it only linearly.  Once a descent's value is at
-most ``SEP_THRESHOLD``, it tries a Levenberg-Marquardt step on the tangent space
-before each iteration, damped by mu = ||y||^2 (Yamashita and Fukushima, Computing
-Suppl. 15, 239 (2001)), which converges quadratically there although the zeros
-are not isolated.  The step is retracted and scored as a line-search trial of step
-1, and taken when it at least halves the value; a state known to be entangled never
-tries one, so its searches are the conjugate-gradient ones bit for bit.
+most ``SEP_THRESHOLD``, the trial of each iteration is first a Levenberg-Marquardt
+step on the tangent space, damped by mu = ||y||^2 (Yamashita and Fukushima,
+Computing Suppl. 15, 239 (2001)), which converges quadratically there although the
+zeros are not isolated.  The step is retracted and scored as a line-search trial of
+step 1, and chosen when it at least halves the value; otherwise the Armijo
+backtracking chooses the trial.  A state known to be entangled never tries one, so
+its searches are the conjugate-gradient ones bit for bit.  Each iteration takes its
+trial through one update; only the new direction (steepest descent after a
+Levenberg-Marquardt step, Polak-Ribiere+ after an Armijo one), the step the next line
+search starts from and the stall test depend on the kind of step.
 ``evaluations`` counts the starting points scored, the trial points the Armijo test
 examines and every LM step scored; a half step scored alongside a t that passed is
 not counted.
@@ -164,6 +168,10 @@ class PureDecomposition:
         return np.einsum("i,ia,ib->ab", w, self.vectors, self.vectors.conj())
 
     def reconstruction_error(self, rho: DensityState) -> float:
+        """Frobenius norm of ``reconstruct()`` - rho; vectors not of rho's dimension raise
+        ``DimensionMismatch``."""
+        if self.vectors.shape[1] != rho.dim:
+            raise DimensionMismatch(f"vector dimension {self.vectors.shape[1]}, rho {rho.dim}")
         return float(np.linalg.norm(self.reconstruct() - rho.mat))
 
 
@@ -408,23 +416,29 @@ class _DecompositionSearch:
     def descend(self, v: np.ndarray, max_iters: int, stop_at: float) -> tuple[float, np.ndarray]:
         """Conjugate gradients from v through the smoothing stages; (value, isometry) at the end.
 
-        The Armijo backtracking tries t = twice the last step, then t/2, t/4, ... while
-        the predicted decrease clears the rounding floor, and takes the first t that
-        passes.  While one evaluation is overhead-bound (work m s r^2 at most
-        ``_SPECULATION_WORK``), t and t/2 are scored as one stack, and the test then runs
-        on t before t/2: every step taken is the one the one-at-a-time search takes.
+        Each iteration chooses one trial and then takes it through one update.  Once
+        the value is at most ``SEP_THRESHOLD``, the descent is heading for a zero of
+        the residuals y, where conjugate gradients converge only linearly, and the
+        trial is first the Levenberg-Marquardt step of ``lm_step``, retracted and scored
+        by ``_trials`` as the single step t = 1; it is chosen when the value at least
+        halves.  A rejected step, or one that fails in LAPACK or scores NaN, leaves the
+        choice to the Armijo backtracking, and the next try waits until the value has
+        fallen tenfold.  A descent whose value stays above ``SEP_THRESHOLD``, or of a
+        state known to be ``entangled``, never tries one.
 
-        Once the value is at most ``SEP_THRESHOLD``, the descent is heading for a zero
-        of the residuals y, where conjugate gradients converge only linearly.  Before
-        each iteration it then tries the Levenberg-Marquardt step of ``lm_step``,
-        retracted and scored by ``_trials`` as the single step t = 1, and takes it when
-        the value at least halves; conjugate gradients restart from steepest descent
-        there.  A rejected step, or one that fails in LAPACK or scores NaN, leaves the
-        iteration to conjugate gradients, and the next try waits until they have lowered
-        the value tenfold.  A descent whose value stays above ``SEP_THRESHOLD``, or of a
-        state known to be ``entangled``, never tries one.  An accepted step counts as one
-        of the ``max_iters`` iterations.  ``evaluations`` counts v and then every trial,
-        by the rule of the module docstring.
+        The Armijo backtracking tries t = twice the last step, then t/2, t/4, ... while
+        the predicted decrease clears the rounding floor, and chooses the first t that
+        passes; when none does, the stage ends.  While one evaluation is overhead-bound
+        (work m s r^2 at most ``_SPECULATION_WORK``), t and t/2 are scored as one stack,
+        and the test then runs on t before t/2: every step taken is the one the
+        one-at-a-time search takes.
+
+        The update moves to the trial and counts one of the ``max_iters`` iterations.
+        Three things depend on the kind of step: the new direction is steepest descent
+        after a Levenberg-Marquardt step and Polak-Ribiere+ after an Armijo one, and
+        only an Armijo step sets the next line search's step and runs the stall test.
+        ``evaluations`` counts v and then every trial, by the rule of the module
+        docstring.
         """
         speculate = v.size * self.basis.shape[1] <= _SPECULATION_WORK
         x, c, value = self.objective(v)
@@ -435,50 +449,45 @@ class _DecompositionSearch:
             f, xi = float(f), _tangent(v, self.gradient(x, root))
             d, trail = -xi, [value]
             while iters < max_iters and value > stop_at:
+                trial = None
                 if value <= lm_at:
                     try:  # the unit step along lm_step, scored as a one-step Armijo trial
-                        [(v1, x1, c1, f1, root1)] = self._trials(v, self.lm_step(v, x), (1.0,), eps)
+                        [trial] = self._trials(v, self.lm_step(v, x), (1.0,), eps)
+                        self.evaluations += 1
                     except np.linalg.LinAlgError:
-                        value1 = math.nan
-                    else:
-                        self.evaluations += 1
-                        value1 = float(np.sqrt(c1).sum())
-                    if value1 <= value / 2.0:  # a NaN fails
-                        v, x, c, f, value = v1, x1, c1, float(f1), value1
-                        xi = _tangent(v, self.gradient(x, root1))
-                        d = -xi
-                        iters += 1
-                        trail.append(value)
-                        continue
-                    lm_at = value / 10.0
-                slope = float(np.vdot(xi, d).real)
-                if slope >= 0.0:  # not a descent direction: restart from steepest descent
-                    d, slope = -xi, -float(np.vdot(xi, xi).real)
-                noise, t = ROUNDING * f, 2.0 * step
-                while -t * slope > noise:  # Armijo backtracking; a NaN ends the stage
-                    half = t / 2.0
-                    steps = (t, half) if speculate and -half * slope > noise else (t,)
-                    for t, (v1, x1, c1, f1, root1) in zip(steps, self._trials(v, d, steps, eps)):
-                        self.evaluations += 1
-                        if f1 <= f + ARMIJO * t * slope:
-                            break
-                    else:  # every step of the batch failed: halve the last one
-                        t /= 2.0
-                        continue
-                    break
-                else:
-                    break
-                # the new gradient, and the vector transports of xi and d by projection
-                # onto the tangent space at v1
-                xi1, xi_at_v1, d_at_v1 = _tangent(v1, np.array((self.gradient(x1, root1), xi, d)))
-                beta = max(0.0, float(np.vdot(xi1, xi1 - xi_at_v1).real)
-                           / float(np.vdot(xi, xi).real))
-                d = beta * d_at_v1 - xi1
-                v, x, c, f, xi, step = v1, x1, c1, float(f1), xi1, t
-                value = float(np.sqrt(c).sum())
+                        pass
+                    if trial is None or not float(np.sqrt(trial[2]).sum()) <= value / 2.0:
+                        trial, lm_at = None, value / 10.0  # a NaN fails too
+                lm = trial is not None
+                if not lm:
+                    slope = float(np.vdot(xi, d).real)
+                    if slope >= 0.0:  # not a descent direction: restart from steepest descent
+                        d, slope = -xi, -float(np.vdot(xi, xi).real)
+                    noise, t = ROUNDING * f, 2.0 * step
+                    while trial is None and -t * slope > noise:  # Armijo; a NaN ends the stage
+                        half = t / 2.0
+                        steps = (t, half) if speculate and -half * slope > noise else (t,)
+                        for t, trial in zip(steps, self._trials(v, d, steps, eps)):
+                            self.evaluations += 1
+                            if trial[3] <= f + ARMIJO * t * slope:
+                                break
+                        else:  # every step of the batch failed: halve the last one
+                            trial, t = None, t / 2.0
+                    if trial is None:  # no step above the rounding floor passed: the stage ends
+                        break
+                v, x, c, f, root = trial
+                if lm:  # conjugate gradients restart from steepest descent
+                    xi = _tangent(v, self.gradient(x, root))
+                    d = -xi
+                else:  # the new gradient, and the transports of xi and d by projection
+                    xi1, xi_at_v, d_at_v = _tangent(v, np.array((self.gradient(x, root), xi, d)))
+                    beta = max(0.0, float(np.vdot(xi1, xi1 - xi_at_v).real)
+                               / float(np.vdot(xi, xi).real))
+                    xi, d, step = xi1, beta * d_at_v - xi1, t
+                f, value = float(f), float(np.sqrt(c).sum())
                 iters += 1
                 trail.append(value)
-                if len(trail) > STALL_ITERS and \
+                if not lm and len(trail) > STALL_ITERS and \
                         value > (1.0 - STALL_DROP) * trail[-1 - STALL_ITERS]:
                     break
         return value, v

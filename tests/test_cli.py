@@ -460,8 +460,14 @@ class TestMain:
         rho, _ = mixed.separable_with_entangled_spectrum()
         out_path = tmp_path / "missing" / "out.json"
         calls = [["classical", write(tmp_path, "u.json", [0.5, 0.5])],
+                 ["schmidt", write(tmp_path, "psi.json", cvec([0.6, 0, 0, 0.8])),
+                  "--dims", "2", "2"],
+                 ["context-coeff", write(tmp_path, "a.json", cmat([[0, 1], [1, 0]])),
+                  write(tmp_path, "ctx.json", cmat(np.eye(2)))],
                  ["mixed", write(tmp_path, "rho.json", cmat(rho.mat)), "--dims", "2", "2",
-                  "--restarts", "20"]]
+                  "--restarts", "20"],
+                 # its table is part of the report, so a failed write prints none of it
+                 ["verify-paper", "--only", "example1"]]
         for argv in calls:
             code, out, err = run(capsys, argv + ["--out", str(out_path)])
             assert code == 2, argv[0]

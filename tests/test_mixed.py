@@ -167,6 +167,14 @@ class TestDecompositionEntanglement:
         d = mx.PureDecomposition(ProbMeasure(w), vecs)
         assert mx.decomposition_entanglement(rho, d) <= 1e-7
 
+    def test_rejects_vectors_of_another_dimension(self):
+        rho, _ = mx.separable_with_entangled_spectrum()
+        d = mx.PureDecomposition(ProbMeasure(np.array([1.0])), np.array([[1.0, 0.0]]))
+        with pytest.raises(DimensionMismatch, match="vector dimension 2, rho 4"):
+            mx.decomposition_entanglement(rho, d)
+        with pytest.raises(DimensionMismatch):
+            d.reconstruction_error(rho)
+
     def test_rejects_wrong_state(self):
         rng = np.random.default_rng(86)
         rho = op.random_density(4, rng, factor_dims=(2, 2))
