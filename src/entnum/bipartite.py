@@ -98,14 +98,27 @@ def tensor(a: Operator, b: Operator) -> Operator:
 
 def product_context(ctx_a: Context, ctx_b: Context) -> Context:
     """Context {phi_i (x) psi_j} on the product space, ordered i-major."""
-    return context_from_rows(np.kron(ctx_a.matrix, ctx_b.matrix))
+    return context_from_rows(_kron(ctx_a.matrix, ctx_b.matrix))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes, for single matrices or stacks of them.
+
+    Each entry is the one product a[i, k] * b[j, l] that ``np.kron`` forms.
+    """
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    products = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return products.reshape(*products.shape[:-4], p * r, q * s)
 
 
 def psi_from_entanglement(e: Entanglement) -> BipartiteVectorState:
     """sum_i sqrt(lam_i) phi_i (x) psi_i in computational coordinates."""
-    amps = np.sqrt(e.lam.weights)
-    coeff = np.einsum("i,ia,ib->ab", amps, e.ctx_a.matrix, e.ctx_b.matrix)
-    return BipartiteVectorState(coeff)
+    return BipartiteVectorState(_psi_coeff(e.lam.weights, e.ctx_a.matrix, e.ctx_b.matrix))
+
+
+def _psi_coeff(weights: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Coefficient matrix of sum_i sqrt(lam_i) phi_i (x) psi_i, single or stacked."""
+    return np.einsum("...i,...ia,...ib->...ab", np.sqrt(weights), rows_a, rows_b)
 
 
 def schmidt_coefficients(psi: BipartiteVectorState) -> np.ndarray:
@@ -174,15 +187,20 @@ def is_factorized_state(psi: BipartiteVectorState) -> bool:
     return bool(s[0] ** 2 >= 1.0 - FACTORIZED_TOL)
 
 
-def _product_terms(e: Entanglement) -> np.ndarray:
-    """(n, n^2) array T whose row i is phi_i (x) psi_i."""
-    return np.kron(e.ctx_a.matrix, e.ctx_b.matrix)[:: e.dim + 1]
+def _product_terms(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """(..., n, n^2) array T whose row i is phi_i (x) psi_i, for the basis rows phi_i and psi_i."""
+    return _kron(rows_a, rows_b)[..., :: rows_a.shape[-1] + 1, :]
 
 
 def separable_state(e: Entanglement) -> DensityState:
     """sum_i lam_i P_{phi_i} (x) P_{psi_i} = T^T diag(lam) conj(T): the diagonal part of P_psi."""
-    t = _product_terms(e)
-    return DensityState(t.T @ (e.lam.weights[:, None] * t.conj()), factor_dims=(e.dim, e.dim))
+    return DensityState(_separable(_product_terms(e.ctx_a.matrix, e.ctx_b.matrix), e.lam.weights),
+                        factor_dims=(e.dim, e.dim))
+
+
+def _separable(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """T^T diag(lam) conj(T) for product terms T and weights lam, single or stacked."""
+    return t.swapaxes(-1, -2) @ (weights[..., :, None] * t.conj())
 
 
 def entanglement_operator(e: Entanglement) -> Operator:
@@ -191,11 +209,16 @@ def entanglement_operator(e: Entanglement) -> Operator:
     Hermitian and traceless; adding it to the separable part recovers the
     projector onto the generated vector state.
     """
-    t = _product_terms(e)
-    amps = np.sqrt(e.lam.weights)
-    c = np.outer(amps, amps)
-    np.fill_diagonal(c, 0.0)
-    return Operator(t.T @ c @ t.conj())
+    return Operator(_coupling(_product_terms(e.ctx_a.matrix, e.ctx_b.matrix), e.lam.weights))
+
+
+def _coupling(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """T^T C conj(T), C = sqrt(lam) sqrt(lam)^T with its diagonal zeroed, single or stacked."""
+    amps = np.sqrt(weights)
+    c = amps[..., :, None] * amps[..., None, :]
+    diag = np.arange(amps.shape[-1])
+    c[..., diag, diag] = 0.0
+    return t.swapaxes(-1, -2) @ c @ t.conj()
 
 
 class EntanglementTriple(NamedTuple):

@@ -120,13 +120,11 @@ def cmd_classical(args) -> tuple[Report, int]:
     if isinstance(u, measures.ProbMeasure):
         sup = sorted(measures.support(u))
         report.add("support", "{" + ", ".join(map(str, sup)) + "}")
-        report.add("entanglement_index", measures.entanglement_index(u))
+        report.add("entanglement_index", len(sup))
         report.add("entanglement_number", measures.entanglement_number(u), 1e-12)
         report.add("point", measures.is_point(u))
         report.add("uniform", measures.is_uniform(u))
-        report.add("max_bound_for_index",
-                   measures.max_entanglement_bound(max(measures.entanglement_index(u), 1)),
-                   1e-12)
+        report.add("max_bound_for_index", measures.max_entanglement_bound(len(sup)), 1e-12)
     else:
         report.add("entanglement_number", measures.product_entanglement_number(u), 1e-12)
         factorized = measures.is_factorized(u, tol=args.tol)

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .operators import (Operator, _check_dims, _check_tol, _intake, _qr_isometry, hermitian_eigen,
-                        hs_norm)
+from .operators import (Operator, _check_dims, _check_tol, _gaussian, _intake, _qr_isometry,
+                        hermitian_eigen, hs_norm)
 
 ORTHO_TOL = 1e-10
 COMPLETE_TOL = 1e-9
@@ -68,8 +68,7 @@ def standard_context(dim: int) -> Context:
 
 def random_context(dim: int, rng: np.random.Generator) -> Context:
     """Haar-like random context: QR of a complex Gaussian matrix, phases fixed."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2.0)
-    return context_from_columns(_qr_isometry(z))
+    return context_from_columns(_qr_isometry(_gaussian((dim, dim), rng)))
 
 
 def eigenvector_context(a: Operator) -> Context:
@@ -86,23 +85,35 @@ def context_coefficient(a: Operator, ctx: Context) -> float:
     measurable (the trace form bottoms out at sqrt of machine noise there).
     """
     _check_dims(a, ctx)
-    total = float(np.sum(np.abs(_residuals(a.mat, ctx.matrix)) ** 2))
-    return math.sqrt(max(total, 0.0))
+    return float(_coefficient(a.mat, ctx.matrix))
+
+
+def _coefficient(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Context coefficient of M in the basis rows: the root of the summed squared residuals."""
+    return np.sqrt(np.sum(np.abs(_residuals(mat, rows)) ** 2, axis=(-2, -1)))
 
 
 def _residuals(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row i is (M - mu_i) phi_i with mu_i = <phi_i, M phi_i>, for the basis rows phi_i."""
-    images = rows @ mat.T  # row i is M phi_i
-    means = np.einsum("ij,ij->i", rows.conj(), images)
-    return images - means[:, None] * rows
+    """Row i is (M - mu_i) phi_i with mu_i = <phi_i, M phi_i>, for the basis rows phi_i.
+
+    ``mat`` and ``rows`` are one matrix each or stacks of them; each slice of a stack
+    rounds as the pair alone.  So do ``_coefficient`` and ``_context_map``.
+    """
+    images = rows @ mat.swapaxes(-1, -2)  # row i is M phi_i
+    means = np.einsum("...ij,...ij->...i", rows.conj(), images)
+    return images - means[..., None] * rows
 
 
 def context_map(a: Operator, ctx: Context) -> Operator:
     """Diagonal part of A relative to the context: sum_i <phi_i, A phi_i> |phi_i><phi_i|."""
     _check_dims(a, ctx)
-    rows = ctx.matrix
-    diag = np.einsum("ia,ab,ib->i", rows.conj(), a.mat, rows)
-    return Operator((rows.T * diag) @ rows.conj())
+    return Operator(_context_map(a.mat, ctx.matrix))
+
+
+def _context_map(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i <phi_i, M phi_i> |phi_i><phi_i| for the basis rows phi_i."""
+    diag = np.einsum("...ia,...ab,...ib->...i", rows.conj(), mat, rows)
+    return (rows.swapaxes(-1, -2) * diag[..., None, :]) @ rows.conj()
 
 
 def residual_map(a: Operator, ctx: Context) -> Operator:

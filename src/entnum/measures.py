@@ -34,15 +34,25 @@ def _clean_weights(raw, ndim: int) -> np.ndarray:
         raise InvariantViolation("weights must be finite")
     if w.min() < -ZERO_TOL:
         raise InvariantViolation(f"negative weight {w.min():.3e}")
-    w = np.maximum(w, 0.0)
-    total = float(w.sum())
+    normalized, total = _normalize(w.reshape(-1))
     if abs(total - 1.0) > ZERO_TOL:
-        raise InvariantViolation(f"weights sum to {total!r}, expected 1 within {ZERO_TOL}")
-    # store exactly normalized so point measures are exact and the
-    # entanglement number is cancellation-free near them
-    w = w / total
-    w.setflags(write=False)
-    return w
+        raise InvariantViolation(f"weights sum to {float(total)!r}, expected 1 within {ZERO_TOL}")
+    normalized = normalized.reshape(w.shape)
+    normalized.setflags(write=False)
+    return normalized
+
+
+def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w / total, total) along the last axis, for w clamped at 0 and total its sum.
+
+    Every measure stores its weights in this exactly normalized form, so point
+    measures are exact and the entanglement number is cancellation-free near them.
+    Each row of a stack rounds as the row alone, and as the row padded with zeros
+    up to 7 entries, as ``_e_kernel`` does.
+    """
+    w = np.maximum(w, 0.0)
+    total = w.sum(axis=-1, keepdims=True)
+    return w / total, total[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +92,17 @@ def entanglement_index(u: ProbMeasure) -> int:
     return len(support(u))
 
 
-def _e_kernel(w: np.ndarray) -> float:
-    """sqrt(sum_i w_i sum_{j != i} w_j) over every entry of w; does not assume sum w = 1."""
-    w = w.reshape(-1)
-    others = np.zeros(w.size)  # sum_{j != i} w_j as an exclusive prefix plus suffix sum
-    others[1:] = np.cumsum(w[:-1])
-    others[:-1] += np.cumsum(w[:0:-1])[::-1]
-    return math.sqrt(float(np.sum(w * others)))
+def _e_kernel(w: np.ndarray) -> np.ndarray:
+    """sqrt(sum_i w_i sum_{j != i} w_j) along the last axis; does not assume sum w = 1.
+
+    Each row of a stack rounds as the row alone.  Zeros padded at the end of a row,
+    up to 7 entries, leave its value unchanged bit for bit: numpy adds fewer than 8
+    terms in order.
+    """
+    others = np.zeros(w.shape)  # sum_{j != i} w_j as an exclusive prefix plus suffix sum
+    others[..., 1:] = np.cumsum(w[..., :-1], axis=-1)
+    others[..., :-1] += np.cumsum(w[..., :0:-1], axis=-1)[..., ::-1]
+    return np.sqrt(np.sum(w * others, axis=-1))
 
 
 def entanglement_number(u: ProbMeasure) -> float:
@@ -98,7 +112,7 @@ def entanglement_number(u: ProbMeasure) -> float:
     which is equal and stays relatively accurate near point measures where the
     1 - sum u_i^2 form cancels catastrophically.
     """
-    return _e_kernel(u.weights)
+    return float(_e_kernel(u.weights))
 
 
 def is_point(u: ProbMeasure) -> bool:
@@ -133,7 +147,12 @@ def mixture(u: ProbMeasure, v: ProbMeasure, lam: float) -> ProbMeasure:
     vw = np.zeros(n)
     uw[: len(u)] = u.weights
     vw[: len(v)] = v.weights
-    return ProbMeasure(lam * uw + (1.0 - lam) * vw)
+    return ProbMeasure(_mixture_weights(uw, vw, lam))
+
+
+def _mixture_weights(uw: np.ndarray, vw: np.ndarray, lam) -> np.ndarray:
+    """lam * uw + (1 - lam) * vw for weight rows of equal length; lam broadcasts over a stack."""
+    return lam * uw + (1.0 - lam) * vw
 
 
 def product(v: ProbMeasure, w: ProbMeasure) -> ProductMeasure:
@@ -156,4 +175,4 @@ def is_factorized(u: ProductMeasure, tol: float = 1e-10) -> bool:
 
 def product_entanglement_number(u: ProductMeasure) -> float:
     """e(u) = sqrt(1 - sum u_ij^2), evaluated in the cancellation-free form."""
-    return _e_kernel(u.weights)
+    return float(_e_kernel(u.weights.reshape(-1)))

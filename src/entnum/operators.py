@@ -157,7 +157,20 @@ def hs_inner(a: Operator, b: Operator) -> complex:
 
 def hs_norm(a: Operator) -> float:
     """Hilbert-Schmidt norm sqrt(tr(A* A)); equals the Frobenius norm of the entries."""
-    return float(np.linalg.norm(a.mat))
+    return float(_hs_norm(a.mat))
+
+
+def _hs_norm(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes of ``m``, each matrix rounded as by ``np.linalg.norm``.
+
+    That is the square root of two BLAS dot products of the flattened entries, real
+    parts with real parts plus imaginary with imaginary; a row-by-column ``matmul``
+    makes the same dot call for every matrix of a stack.
+    """
+    x = m.reshape(*m.shape[:-2], 1, -1)
+    x_real, x_imag = x.real, x.imag
+    square = x_real @ x_real.swapaxes(-1, -2) + x_imag @ x_imag.swapaxes(-1, -2)
+    return np.sqrt(square[..., 0, 0])
 
 
 def expectation(rho: DensityState, a: Operator) -> complex:
@@ -258,15 +271,28 @@ def psd_sqrt(rho: DensityState) -> Operator:
 
 def random_operator(dim: int, rng: np.random.Generator) -> Operator:
     """Complex Gaussian matrix; entries have standard deviation 1."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator(z / math.sqrt(2.0))
+    return Operator(_gaussian((dim, dim), rng))
+
+
+def _gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrices of ``shape`` (..., rows, cols), entries of standard deviation 1.
+
+    Each matrix takes its real parts and then its imaginary parts from the generator,
+    matrix after matrix: one call fills the stream that one call per matrix would.
+    """
+    x = rng.normal(size=(*shape[:-2], 2, *shape[-2:]))
+    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / math.sqrt(2.0)
 
 
 def _qr_isometry(z: np.ndarray) -> np.ndarray:
-    """Q factor of z with the phases of diag(R) fixed to 1, so the factor is unique."""
+    """Q factor of z with the phases of diag(R) fixed to 1, so the factor is unique.
+
+    z is one matrix or a stack (..., m, n) of them; each slice of a stack rounds as
+    the matrix alone.
+    """
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d.conj() / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d.conj() / np.abs(d))[..., None, :]
 
 
 def random_vector_state(dim: int, rng: np.random.Generator) -> VectorState:

@@ -6,6 +6,17 @@ and provenance ("closed-form" for exact constants, "derived" for values fixed
 by an independent hand calculation, "property" for seeded random suites).
 All randomness flows from the seed passed in, so reports are reproducible
 byte for byte.
+
+The property suites thm11, thm12, thm23 and thm32 take their draws in seed
+order, the same samples the per-draw public generators would give, and then
+score them as stacks: one call per suite or per dimension into the library's
+own kernels (``measures._e_kernel``, ``contexts._residuals``, ...), each of
+which rounds every slice of a stack as the public per-value function rounds
+that slice alone.  Their rows are therefore the rows of a per-draw loop, bit
+for bit, and the report stays byte-identical.  thm21 stays per draw: the
+deterministic order of ``operators.hermitian_eigen`` (behind ``psd_sqrt``) is
+fixed cluster by cluster, and ``operators.variance`` rounds |tr(rho A)| with
+Python's ``abs``, which numpy's array absolute does not match.
 """
 
 from __future__ import annotations
@@ -268,64 +279,55 @@ def _check_example9(seed: int) -> Iterator[_Row]:
 # property suites
 # ---------------------------------------------------------------------------
 
-def _random_measure(rng: np.random.Generator, n: int) -> ProbMeasure:
-    return ProbMeasure(rng.dirichlet(np.ones(n)))
-
-
 @_check
 def _check_thm11(seed: int) -> Iterator[_Row]:
     rng = np.random.default_rng(seed + 11)
-    point_max = 0.0
-    bound_violation = -1.0
-    uniform_gap = 0.0
-    for _ in range(200):
+    points = np.zeros((200, 7))
+    draws = np.zeros((200, 7))
+    sizes = np.zeros(200, dtype=int)
+    for i in range(200):
         n = int(rng.integers(1, 8))
-        point = np.zeros(n)
-        point[rng.integers(0, n)] = 1.0
-        point_max = max(point_max, measures.entanglement_number(ProbMeasure(point)))
-        u = _random_measure(rng, n)
-        bound = measures.max_entanglement_bound(measures.entanglement_index(u))
-        bound_violation = max(bound_violation,
-                              measures.entanglement_number(u) - bound)
-        k = int(rng.integers(1, 8))
-        uniform = ProbMeasure(np.full(k, 1.0 / k))
-        uniform_gap = max(uniform_gap,
-                          abs(measures.entanglement_number(uniform)
-                              - measures.max_entanglement_bound(k)))
-    yield _row("point measures score zero (200 draws)", 0.0, point_max, 1e-12, "property")
-    yield _bound_row("e <= sqrt((n-1)/n) (200 draws)", 1e-12, bound_violation, "property")
-    yield _row("uniform measures attain the bound (200 draws)", 0.0, uniform_gap, 1e-12,
+        points[i, rng.integers(0, n)] = 1.0
+        draws[i, :n] = rng.dirichlet(np.ones(n))
+        sizes[i] = rng.integers(1, 8)
+    uniform = (np.arange(7) < sizes[:, None]) / sizes[:, None]
+    weights = measures._normalize(np.stack([points, draws, uniform]))[0]
+    e_point, e_u, e_uniform = measures._e_kernel(weights)
+    index = np.count_nonzero(weights[1] > measures.ZERO_TOL, axis=-1)
+    index_bound = np.array([measures.max_entanglement_bound(k) for k in index])
+    size_bound = np.array([measures.max_entanglement_bound(k) for k in sizes])
+    yield _row("point measures score zero (200 draws)", 0.0, max(0.0, np.max(e_point)), 1e-12,
                "property")
+    yield _bound_row("e <= sqrt((n-1)/n) (200 draws)", 1e-12,
+                     max(-1.0, np.max(e_u - index_bound)), "property")
+    yield _row("uniform measures attain the bound (200 draws)", 0.0,
+               max(0.0, np.max(np.abs(e_uniform - size_bound))), 1e-12, "property")
 
 
 @_check
 def _check_thm12(seed: int) -> Iterator[_Row]:
     rng = np.random.default_rng(seed + 12)
-    worst = math.inf
-    strict_worst = math.inf
-    strict_count = 0
-    for _ in range(1000):
-        n = int(rng.integers(1, 7))
-        u = _random_measure(rng, n)
-        v = _random_measure(rng, int(rng.integers(1, 7)))
-        lam = float(rng.uniform(0.0, 1.0))
-        mix = measures.mixture(u, v, lam)
-        margin = (measures.entanglement_number(mix)
-                  - lam * measures.entanglement_number(u)
-                  - (1.0 - lam) * measures.entanglement_number(v))
-        worst = min(worst, margin)
-        nu = np.zeros(max(len(u), len(v)))
-        nv = nu.copy()
-        nu[: len(u)] = u.weights
-        nv[: len(v)] = v.weights
-        if 0.2 <= lam <= 0.8 and float(np.linalg.norm(nu - nv)) >= 0.1:
-            strict_worst = min(strict_worst, margin)
-            strict_count += 1
-    yield _bound_row("concavity margin >= -1e-12 (1000 draws)", 1e-12, -worst, "property")
-    yield _row("strict cases sampled (count > 100)", 1.0, float(strict_count > 100), 0,
+    draws = np.zeros((2, 1000, 6))
+    lam = np.zeros(1000)
+    ones = np.ones(6)
+    for i in range(1000):
+        for side in draws:
+            n = int(rng.integers(1, 7))
+            side[i, :n] = rng.dirichlet(ones[:n])
+        lam[i] = rng.uniform(0.0, 1.0)
+    u, v = measures._normalize(draws)[0]
+    mix = measures._normalize(measures._mixture_weights(u, v, lam[:, None]))[0]
+    e_mix, e_u, e_v = measures._e_kernel(np.stack([mix, u, v]))
+    margin = e_mix - lam * e_u - (1.0 - lam) * e_v
+    # Euclidean norm of each row, rounded as np.linalg.norm of the row
+    distance = operators._hs_norm((u - v)[:, None, :])
+    strict = margin[(0.2 <= lam) & (lam <= 0.8) & (distance >= 0.1)]
+    yield _bound_row("concavity margin >= -1e-12 (1000 draws)", 1e-12, -np.min(margin),
+                     "property")
+    yield _row("strict cases sampled (count > 100)", 1.0, float(strict.size > 100), 0,
                "property")
-    yield _row("strict concavity margin >= 1e-6", 1.0, float(strict_worst >= 1e-6), 0,
-               "property")
+    yield _row("strict concavity margin >= 1e-6", 1.0,
+               float(strict.min(initial=math.inf) >= 1e-6), 0, "property")
 
 
 @_check
@@ -358,19 +360,22 @@ def _check_thm21(seed: int) -> Iterator[_Row]:
                "property")
 
 
+def _random_contexts(z: np.ndarray) -> np.ndarray:
+    """Basis rows of ``contexts.random_context`` for a stack of its Gaussian draws."""
+    return np.ascontiguousarray(operators._qr_isometry(z).swapaxes(-1, -2))
+
+
 @_check
 def _check_thm23(seed: int) -> Iterator[_Row]:
     rng = np.random.default_rng(seed + 23)
     for dim in range(2, 7):
-        worst = 0.0
-        for _ in range(100):
-            a = operators.random_operator(dim, rng)
-            ctx = contexts.random_context(dim, rng)
-            dev = abs(operators.hs_norm(contexts.residual_map(a, ctx))
-                      - contexts.context_coefficient(a, ctx))
-            worst = max(worst, dev)
-        yield _row(f"residual norm = context coefficient, dim {dim} (100 draws)", 0.0, worst,
-                   1e-9, "property")
+        # per draw, the draws of random_operator and then of random_context
+        draws = operators._gaussian((100, 2, dim, dim), rng)
+        a, rows = draws[:, 0], _random_contexts(draws[:, 1])
+        dev = np.abs(operators._hs_norm(a - contexts._context_map(a, rows))
+                     - contexts._coefficient(a, rows))
+        yield _row(f"residual norm = context coefficient, dim {dim} (100 draws)", 0.0,
+                   max(0.0, np.max(dev)), 1e-9, "property")
 
 
 @_check
@@ -387,29 +392,37 @@ def _check_thm24(seed: int) -> Iterator[_Row]:
 @_check
 def _check_thm32(seed: int) -> Iterator[_Row]:
     rng = np.random.default_rng(seed + 32)
-    worst_triple = 0.0
-    worst_split = 0.0
+    by_dim: dict[int, list] = {}
     for k in range(100):
         n = int(rng.integers(2, 6))
-        e = bipartite.random_entanglement(n, rng)
-        triple = bipartite.verify_entanglement_triple(e)
-        worst_triple = max(
-            worst_triple,
-            abs(triple.context_coeff - triple.operator_norm),
-            abs(triple.operator_norm - triple.measure_number),
-            abs(triple.context_coeff - triple.measure_number),
-        )
-        if k < 20:
-            psi = bipartite.psi_from_entanglement(e)
-            p = operators.Operator(np.outer(psi.vector, psi.vector.conj()))
-            d = bipartite.product_context(e.ctx_a, e.ctx_b)
-            worst_split = max(
-                worst_split,
-                float(np.max(np.abs(contexts.context_map(p, d).mat
-                                    - bipartite.separable_state(e).mat))),
-                float(np.max(np.abs(contexts.residual_map(p, d).mat
-                                    - bipartite.entanglement_operator(e).mat))),
-            )
+        # the draws of random_entanglement: weights, then one context per factor
+        by_dim.setdefault(n, []).append(
+            (k, rng.dirichlet(np.ones(n)), operators._gaussian((2, n, n), rng)))
+    worst_triple = 0.0
+    worst_split = 0.0
+    for draws in by_dim.values():
+        k, w, z = (np.array(field) for field in zip(*draws))
+        # random_entanglement normalizes the draw, and Entanglement normalizes it again
+        lam = measures._normalize(measures._normalize(w)[0])[0]
+        rows_a, rows_b = _random_contexts(z[:, 0]), _random_contexts(z[:, 1])
+        t = bipartite._product_terms(rows_a, rows_b)
+        b = bipartite._coupling(t, lam)
+        d = bipartite._kron(rows_a, rows_b)
+        context_coeff = contexts._coefficient(b, d)
+        operator_norm = operators._hs_norm(b)
+        measure_number = measures._e_kernel(lam)
+        worst_triple = max(worst_triple, np.max(np.abs(context_coeff - operator_norm)),
+                           np.max(np.abs(operator_norm - measure_number)),
+                           np.max(np.abs(context_coeff - measure_number)))
+        split = k < 20
+        if split.any():
+            psi = bipartite._psi_coeff(lam[split], rows_a[split], rows_b[split])
+            psi = psi.reshape(len(psi), -1)
+            p = psi[:, :, None] * psi.conj()[:, None, :]
+            diag = contexts._context_map(p, d[split])
+            worst_split = max(worst_split,
+                              np.max(np.abs(diag - bipartite._separable(t[split], lam[split]))),
+                              np.max(np.abs(p - diag - b[split])))
     yield _row("triple equality, dims 2-5 (100 draws)", 0.0, worst_triple, 1e-9, "property")
     yield _row("diagonal/off-diagonal split matches (20 draws)", 0.0, worst_split, 1e-10,
                "property")
